@@ -37,6 +37,20 @@ import (
 	"tripoline/internal/streamgraph"
 )
 
+// Connection-level limits of the listener: a client gets readHeaderTimeout
+// to send its request headers (so a slow or stalled sender cannot hold a
+// connection and its goroutine open), and an idle keep-alive connection
+// is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener's http.Server around the handler.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -122,7 +136,7 @@ func main() {
 			snap.NumVertices(), snap.NumEdges(), sys.Enabled(), *addr)
 		srv = server.New(sys, g, serverOpts...)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop admitting (503), let
 	// in-flight queries run out under -drain-timeout, then close.

@@ -167,7 +167,7 @@ func AblationSelection(w io.Writer, gname, problem string, scale, k, queries int
 			full, fullT := timedRun(snap, p, u)
 			pu := mgr.PropUR(u)
 			slot := pol.pick(pu)
-			init := triangle.DeltaInit(p, u, pu[slot], mgr.StandingColumn(slot))
+			init := triangle.DeltaInit(p, u, pu[slot], mgr.Forward.Column(slot))
 			st := &engine.State{P: p, K: 1, N: len(init), Values: init}
 			t0 := time.Now()
 			st.RunPush(snap, []graph.VertexID{u}, []uint64{1})

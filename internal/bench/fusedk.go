@@ -125,7 +125,7 @@ func AblationFusedK(w io.Writer, logn, batchSize int, widths []int, seed uint64)
 		// Standing states after the full refresh sequence must agree on
 		// every slot of every vertex.
 		for slot := 0; slot < k; slot++ {
-			fc, lc := fused.mgr.StandingColumn(slot), legacy.mgr.StandingColumn(slot)
+			fc, lc := fused.mgr.Forward.Column(slot), legacy.mgr.Forward.Column(slot)
 			for v := range fc {
 				if fc[v] != lc[v] {
 					panic(fmt.Sprintf("bench: fusedK K=%d slot %d vertex %d: fused %#x legacy %#x",

@@ -56,8 +56,9 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key cacheKey
-	// res holds the cached answer; Values/Counts are owned by the cache
-	// (copied in, copied out) so callers can never mutate an entry.
+	// res holds the cached answer. Values/Counts are copied in by put and
+	// never written again: CachedQuery copies them out, ViewCachedQuery
+	// lends them read-only, so callers can never mutate an entry.
 	res QueryResult
 	// batchStamp is the cache's mutation counter when the entry was last
 	// computed or re-stamped; batches-since = cache.batches - batchStamp.
@@ -212,56 +213,73 @@ func (c *resultCache) dropPin(e *cacheEntry) {
 // applied since that version (the Age analogue). ok=false on a miss or
 // when the cache is disabled.
 func (s *System) CachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool) (res *QueryResult, staleBatches uint64, ok bool) {
-	c := s.cache
-	if c == nil {
-		return nil, 0, false
-	}
-	return c.get(problem, u, minVersion, staleOK, s.G.Acquire().Version())
+	ok = s.ViewCachedQuery(problem, u, minVersion, staleOK, func(r *QueryResult, stale uint64) {
+		res, staleBatches = copyResult(r), stale
+	})
+	return res, staleBatches, ok
 }
 
 // CachedQueryAt serves a cached answer whose version matches exactly —
 // the /v1/queryat fast path. Historical answers never go stale at their
 // own version, so no policy beyond the exact match applies.
-func (s *System) CachedQueryAt(problem string, u graph.VertexID, version uint64) (*QueryResult, bool) {
-	c := s.cache
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	el, found := c.entries[cacheKey{problem: problem, source: u}]
-	if !found || el.Value.(*cacheEntry).res.Version != version {
-		c.misses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	c.ll.MoveToFront(el)
-	c.hits++
-	out := copyResult(&e.res)
-	c.mu.Unlock()
-	return out, true
+func (s *System) CachedQueryAt(problem string, u graph.VertexID, version uint64) (res *QueryResult, ok bool) {
+	ok = s.ViewCachedQueryAt(problem, u, version, func(r *QueryResult) { res = copyResult(r) })
+	return res, ok
 }
 
-func (c *resultCache) get(problem string, u graph.VertexID, minVersion uint64, staleOK bool, curVersion uint64) (*QueryResult, uint64, bool) {
+// ViewCachedQuery is CachedQuery without the copy: on a hit it calls fn
+// with a read-only view of the cached result and the batches-since
+// count, outside the cache lock, and reports true. The view's Values and
+// Counts are the entry's own slices — never mutated after the entry is
+// stored, so reading them needs no lock — and fn must neither modify
+// them nor keep them past its return. This is how the serving layer
+// encodes a hit with no O(N) copy.
+func (s *System) ViewCachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool, fn func(res *QueryResult, staleBatches uint64)) bool {
+	if s.cache == nil {
+		return false
+	}
+	return s.cache.view(problem, u, minVersion, staleOK, s.G.Acquire().Version(), fn)
+}
+
+// ViewCachedQueryAt is CachedQueryAt without the copy, under
+// ViewCachedQuery's contract.
+func (s *System) ViewCachedQueryAt(problem string, u graph.VertexID, version uint64, fn func(res *QueryResult)) bool {
+	if s.cache == nil {
+		return false
+	}
+	return s.cache.view(problem, u, version, false, version, func(r *QueryResult, _ uint64) { fn(r) })
+}
+
+// view looks up (problem, u) and, when the entry is servable (version at
+// least minVersion and, unless staleOK, equal to cur), counts the hit —
+// a stale one when the version is not cur — and hands fn a shallow copy
+// of the entry's result taken under the lock (cacheAdvance re-stamps
+// Version in place; the slices are never written) and its batches-since
+// count. fn runs after unlocking, so the caller's O(N) work, a copy or
+// an encode, never holds c.mu.
+func (c *resultCache) view(problem string, u graph.VertexID, minVersion uint64, staleOK bool, cur uint64, fn func(*QueryResult, uint64)) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, found := c.entries[cacheKey{problem: problem, source: u}]
 	if !found {
 		c.misses++
-		return nil, 0, false
+		c.mu.Unlock()
+		return false
 	}
 	e := el.Value.(*cacheEntry)
-	if e.res.Version < minVersion || (!staleOK && e.res.Version != curVersion) {
+	if e.res.Version < minVersion || (!staleOK && e.res.Version != cur) {
 		c.misses++
-		return nil, 0, false
+		c.mu.Unlock()
+		return false
 	}
 	c.ll.MoveToFront(el)
-	stale := c.batches - e.batchStamp
 	c.hits++
-	if e.res.Version != curVersion {
+	if e.res.Version != cur {
 		c.staleServed++
 	}
-	return copyResult(&e.res), stale, true
+	res, stale := e.res, c.batches-e.batchStamp
+	c.mu.Unlock()
+	fn(&res, stale)
+	return true
 }
 
 // copyResult returns a caller-owned copy of a cached result.

@@ -7,7 +7,6 @@ import (
 
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
-	"tripoline/internal/triangle"
 )
 
 // MultiResult reports a batched user-query evaluation: up to 64 queries
@@ -90,24 +89,15 @@ func (h *simpleHandler) queryMulti(ctx context.Context, s *System, sources []gra
 		n := g.NumVertices()
 		st = engine.NewState(p, n, w)
 		// Δ-initialize each slot from its own best standing root,
-		// directly into the state's storage — a zero-copy column view on
-		// contiguous layouts, a parallel strided write through StrideView
-		// otherwise (covers both the interleaved and the slot-blocked
-		// width-K layouts). Each slot is an O(N) parallel pass, so
+		// straight from the standing state into the slot's strided view
+		// (every layout has one). Each slot is an O(N) parallel pass, so
 		// cancellation is honored between slots too.
 		for j, u := range sources {
 			if err := ctx.Err(); err != nil {
 				return &engine.CanceledError{Cause: err}
 			}
-			slot, propUR := h.mgr.Select(u)
-			res.Slots[j], res.PropURs[j] = slot, propUR
-			standing := h.mgr.StandingColumn(slot)
-			if dst, ok := st.ColumnView(j); ok {
-				triangle.DeltaInitInto(dst, p, u, propUR, standing)
-			} else {
-				arr, stride, off := st.StrideView(j)
-				triangle.DeltaInitStridedInto(arr, stride, off, p, u, propUR, standing)
-			}
+			arr, stride, off := st.StrideView(j)
+			res.Slots[j], res.PropURs[j] = h.mgr.DeltaInto(arr, stride, off, n, u, false)
 		}
 		return nil
 	})

@@ -9,7 +9,6 @@ import (
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/props"
-	"tripoline/internal/triangle"
 )
 
 // Subscriptions treat a user query as a continuously maintained
@@ -305,14 +304,8 @@ func (h *simpleHandler) refreshSubscribed(view engine.View, sources []graph.Vert
 		w := len(chunk)
 		st := engine.NewState(p, n, w)
 		for j, u := range chunk {
-			slot, propUR := h.mgr.Select(u)
-			standing := h.mgr.StandingColumn(slot)
-			if dst, ok := st.ColumnView(j); ok {
-				triangle.DeltaInitInto(dst, p, u, propUR, standing)
-			} else {
-				arr, stride, off := st.StrideView(j)
-				triangle.DeltaInitStridedInto(arr, stride, off, p, u, propUR, standing)
-			}
+			arr, stride, off := st.StrideView(j)
+			h.mgr.DeltaInto(arr, stride, off, n, u, false)
 		}
 		seeds, masks := sourceSeeds(chunk)
 		st.RunPush(view, seeds, masks)

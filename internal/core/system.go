@@ -32,7 +32,6 @@ import (
 	"tripoline/internal/props"
 	"tripoline/internal/standing"
 	"tripoline/internal/streamgraph"
-	"tripoline/internal/triangle"
 )
 
 // DefaultK is the default number of standing queries per problem (§6.1).
@@ -503,19 +502,7 @@ func (s *System) DeltaMergeInto(problem string, u graph.VertexID, wantVersion ui
 	if sh.mgr.LastVersion != wantVersion || int(u) >= s.G.Acquire().NumVertices() {
 		return 0, 0, false
 	}
-	p := sh.mgr.Problem
-	slot, propUR = sh.mgr.Select(u)
-	col := sh.mgr.StandingColumn(slot)
-	n := len(init)
-	if len(col) < n {
-		n = len(col)
-	}
-	for x := 0; x < n; x++ {
-		cand := p.Combine(propUR, col[x])
-		if p.Better(cand, init[x]) {
-			init[x] = cand
-		}
-	}
+	slot, propUR = sh.mgr.DeltaInto(init, 1, 0, len(init), u, true)
 	return slot, propUR, true
 }
 
@@ -653,23 +640,16 @@ func (h *radiiHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 		sources = radiiSources(u, n)
 		w = len(sources)
 		st = engine.NewState(props.SSSP{}, n, w)
-		// Δ-initialize each slot from its best standing root, directly
-		// into the state's storage (zero-copy column views on contiguous
-		// layouts, parallel strided writes otherwise). Each slot is an
-		// O(N) pass, so the 16-slot setup honors cancellation between
-		// slots as well as inside the engine run.
+		// Δ-initialize each slot from its best standing root, straight
+		// into the slot's strided view. Each slot is an O(N) pass, so the
+		// 16-slot setup honors cancellation between slots as well as
+		// inside the engine run.
 		for j, src := range sources {
 			if err := ctx.Err(); err != nil {
 				return &engine.CanceledError{Cause: err}
 			}
-			slot, propUR := h.mgr.Select(src)
-			standing := h.mgr.StandingColumn(slot)
-			if dst, ok := st.ColumnView(j); ok {
-				triangle.DeltaInitInto(dst, props.SSSP{}, src, propUR, standing)
-			} else {
-				arr, stride, off := st.StrideView(j)
-				triangle.DeltaInitStridedInto(arr, stride, off, props.SSSP{}, src, propUR, standing)
-			}
+			arr, stride, off := st.StrideView(j)
+			h.mgr.DeltaInto(arr, stride, off, n, src, false)
 		}
 		return nil
 	})

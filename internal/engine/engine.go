@@ -286,22 +286,11 @@ func (st *State) Column(k int) []uint64 {
 	return out
 }
 
-// ColumnView returns slot k's values as a zero-copy view when the
-// layout stores the column contiguously — only K=1 states qualify (both
-// the slot-blocked and the interleaved K>1 layouts stride their
-// columns). The view aliases the state. On ok=false, callers fall back
-// to Column (a copy) or StrideView (zero-copy strided access).
-func (st *State) ColumnView(k int) (col []uint64, ok bool) {
-	if st.cols == nil && st.K == 1 {
-		return st.Values[:st.N], true
-	}
-	return nil, false
-}
-
 // StrideView returns slot k's values as a zero-copy strided view valid
 // on every layout: the value of (v, k) is arr[v*stride+off]. The view
-// aliases the state; (arr, stride, off) feed triangle's strided
-// Δ-initialization directly. Interleaved states return (Values, K, k);
+// aliases the state; (arr, stride, off) is the shape
+// triangle.DeltaInitStrided reads standing slots from and writes
+// user-query slots through. Interleaved states return (Values, K, k);
 // slot-blocked states return the slab with the cache-line stride.
 func (st *State) StrideView(k int) (arr []uint64, stride, off int) {
 	if st.cols != nil {

@@ -193,11 +193,6 @@ func TestStateColumnAndClone(t *testing.T) {
 		if col[0] != 1 || col[1] != 3 || col[2] != 5 {
 			t.Fatalf("fused=%v: column = %v", fused, col)
 		}
-		if view, ok := st.ColumnView(1); ok {
-			if view[0] != 1 || view[1] != 3 || view[2] != 5 {
-				t.Fatalf("fused=%v: column view = %v", fused, view)
-			}
-		}
 		// StrideView must address every layout: value(v,k) = arr[v*stride+off].
 		arr, stride, off := st.StrideView(1)
 		for v := 0; v < 3; v++ {

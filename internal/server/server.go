@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -75,8 +76,8 @@ type backend interface {
 	QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*core.MultiResult, error)
 	ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
 	ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	CachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool) (*core.QueryResult, uint64, bool)
-	CachedQueryAt(problem string, u graph.VertexID, version uint64) (*core.QueryResult, bool)
+	ViewCachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool, fn func(*core.QueryResult, uint64)) bool
+	ViewCachedQueryAt(problem string, u graph.VertexID, version uint64, fn func(*core.QueryResult)) bool
 	SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*core.Subscription, error)
 	Unsubscribe(sub *core.Subscription)
 	Subscribers() int
@@ -215,8 +216,8 @@ func newServer(be backend, shards int, shardMetrics func(*shard.Metrics), opts [
 	}
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/query", s.cached(s.tryCachedQuery, s.lifecycle("query", s.queryTimeout, s.handleQuery)))
-	s.mux.HandleFunc("GET /v1/queryat", s.cached(s.tryCachedQueryAt, s.lifecycle("query", s.queryTimeout, s.handleQueryAt)))
+	s.mux.HandleFunc("GET /v1/query", s.cached(s.tryCachedQuery, s.handleQuery))
+	s.mux.HandleFunc("GET /v1/queryat", s.cached(s.tryCachedQueryAt, s.handleQueryAt))
 	s.mux.HandleFunc("GET /v1/subscribe", s.handleSubscribe)
 	s.mux.HandleFunc("POST /v1/querymany", s.lifecycle("query", s.queryTimeout, s.handleQueryMany))
 	s.mux.HandleFunc("POST /v1/batch", s.lifecycle("write", s.writeTimeout, s.handleBatch))
@@ -417,22 +418,6 @@ type statsResponse struct {
 	Subscribers int               `json:"subscribers"`
 }
 
-type queryResponse struct {
-	Problem     string  `json:"problem"`
-	Source      uint32  `json:"source"`
-	Incremental bool    `json:"incremental"`
-	Seconds     float64 `json:"seconds"`
-	Activations int64   `json:"activations"`
-	// Version is the snapshot version the result is valid for — under
-	// concurrent writes a client needs it to know *which* graph it got an
-	// answer about (and, with history enabled, to audit the answer via
-	// /query_at later).
-	Version uint64   `json:"version"`
-	Values  []uint64 `json:"values"`
-	Counts  []uint64 `json:"counts,omitempty"`
-	Radius  uint64   `json:"radius,omitempty"`
-}
-
 // errEnvelope is the unified v1 error body: every non-2xx response from
 // a /v1/* endpoint carries exactly this shape, with a small closed set
 // of machine-readable codes so clients switch on code, never on message
@@ -501,18 +486,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.met.reg.WritePrometheus(w)
 }
 
-func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
-	problem := r.URL.Query().Get("problem")
+func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, q url.Values) int {
+	problem := q.Get("problem")
 	if problem == "" {
 		return writeErr(w, http.StatusBadRequest, "missing ?problem")
 	}
-	srcStr := r.URL.Query().Get("source")
+	srcStr := q.Get("source")
 	src, err := strconv.ParseUint(srcStr, 10, 32)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "bad ?source=%q", srcStr)
 	}
 	var res *core.QueryResult
-	if r.URL.Query().Get("full") != "" {
+	if q.Get("full") != "" {
 		s.met.queriesFull.Inc()
 		res, err = s.sys.QueryFullCtx(ctx, problem, graph.VertexID(src))
 	} else {
@@ -529,35 +514,23 @@ func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http
 	return writeQueryResult(w, res)
 }
 
-// writeQueryResult writes the standard query body plus the
-// X-Tripoline-Version header (always matching the JSON version field, so
-// version-aware clients need not parse the body).
-func writeQueryResult(w http.ResponseWriter, res *core.QueryResult) int {
-	w.Header().Set("X-Tripoline-Version", strconv.FormatUint(res.Version, 10))
-	return writeJSON(w, queryResponse{
-		Problem:     res.Problem,
-		Source:      uint32(res.Source),
-		Incremental: res.Incremental,
-		Seconds:     res.Elapsed.Seconds(),
-		Activations: res.Stats.Activations,
-		Version:     res.Version,
-		Values:      res.Values,
-		Counts:      res.Counts,
-		Radius:      res.Radius,
-	})
-}
-
 // cached wraps a query endpoint with its Δ-result-cache fast path: on a
 // hit the request bypasses the admission gate entirely — the whole point
-// of caching at user scale is that a hit costs an O(answer) copy, not an
-// evaluation slot. Draining still refuses the request (a drained server
-// serves nothing), and a miss falls through to the gated handler.
-func (s *Server) cached(try func(w http.ResponseWriter, r *http.Request) bool, h http.HandlerFunc) http.HandlerFunc {
+// of caching at user scale is that a hit costs an O(answer) encode
+// straight from the cache entry, not an evaluation slot. Draining still
+// refuses the request (a drained server serves nothing), and a miss falls
+// through to the gated handler. The query string is parsed once, here,
+// for both.
+func (s *Server) cached(try func(w http.ResponseWriter, q url.Values) bool,
+	h func(ctx context.Context, w http.ResponseWriter, q url.Values) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.isDraining() && try(w, r) {
+		q := r.URL.Query()
+		if !s.isDraining() && try(w, q) {
 			return
 		}
-		h(w, r)
+		s.lifecycle("query", s.queryTimeout, func(ctx context.Context, w http.ResponseWriter, _ *http.Request) int {
+			return h(ctx, w, q)
+		})(w, r)
 	}
 }
 
@@ -567,8 +540,7 @@ func (s *Server) cached(try func(w http.ResponseWriter, r *http.Request) bool, h
 // ?min_version. full=1 always bypasses the cache. Cached responses set
 // X-Tripoline-Cache: hit and X-Tripoline-Stale-Batches (the number of
 // graph-changing batches applied since the answer's version).
-func (s *Server) tryCachedQuery(w http.ResponseWriter, r *http.Request) bool {
-	q := r.URL.Query()
+func (s *Server) tryCachedQuery(w http.ResponseWriter, q url.Values) bool {
 	if q.Get("full") != "" {
 		return false
 	}
@@ -586,51 +558,44 @@ func (s *Server) tryCachedQuery(w http.ResponseWriter, r *http.Request) bool {
 			return true
 		}
 	}
-	res, stale, ok := s.sys.CachedQuery(problem, graph.VertexID(src), minVersion, staleOK)
-	if !ok {
-		return false
-	}
-	s.met.queries.Inc()
-	s.met.cacheHits.Inc()
-	if stale > 0 {
-		s.met.cacheStaleServed.Inc()
-	}
-	w.Header().Set("X-Tripoline-Cache", "hit")
-	w.Header().Set("X-Tripoline-Stale-Batches", strconv.FormatUint(stale, 10))
-	writeQueryResult(w, res)
-	return true
+	return s.sys.ViewCachedQuery(problem, graph.VertexID(src), minVersion, staleOK, func(res *core.QueryResult, stale uint64) {
+		s.met.queries.Inc()
+		s.met.cacheHits.Inc()
+		if stale > 0 {
+			s.met.cacheStaleServed.Inc()
+		}
+		w.Header().Set("X-Tripoline-Cache", "hit")
+		w.Header().Set("X-Tripoline-Stale-Batches", strconv.FormatUint(stale, 10))
+		writeQueryResult(w, res)
+	})
 }
 
 // tryCachedQueryAt serves /v1/queryat from the cache when an entry's
 // version matches the requested one exactly — an answer at version v is
 // exact at v forever, so this skips both the gate and the historical
 // re-evaluation.
-func (s *Server) tryCachedQueryAt(w http.ResponseWriter, r *http.Request) bool {
-	q := r.URL.Query()
+func (s *Server) tryCachedQueryAt(w http.ResponseWriter, q url.Values) bool {
 	problem := q.Get("problem")
 	src, errSrc := strconv.ParseUint(q.Get("source"), 10, 32)
 	version, errVer := strconv.ParseUint(q.Get("version"), 10, 64)
 	if problem == "" || errSrc != nil || errVer != nil {
 		return false
 	}
-	res, ok := s.sys.CachedQueryAt(problem, graph.VertexID(src), version)
-	if !ok {
-		return false
-	}
-	s.met.queries.Inc()
-	s.met.cacheHits.Inc()
-	w.Header().Set("X-Tripoline-Cache", "hit")
-	w.Header().Set("X-Tripoline-Stale-Batches", "0")
-	writeQueryResult(w, res)
-	return true
+	return s.sys.ViewCachedQueryAt(problem, graph.VertexID(src), version, func(res *core.QueryResult) {
+		s.met.queries.Inc()
+		s.met.cacheHits.Inc()
+		w.Header().Set("X-Tripoline-Cache", "hit")
+		w.Header().Set("X-Tripoline-Stale-Batches", "0")
+		writeQueryResult(w, res)
+	})
 }
 
 // handleQueryAt answers against a retained historical snapshot; the
 // system must have history enabled (core.System.EnableHistory).
-func (s *Server) handleQueryAt(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
-	problem := r.URL.Query().Get("problem")
-	srcStr := r.URL.Query().Get("source")
-	verStr := r.URL.Query().Get("version")
+func (s *Server) handleQueryAt(ctx context.Context, w http.ResponseWriter, q url.Values) int {
+	problem := q.Get("problem")
+	srcStr := q.Get("source")
+	verStr := q.Get("version")
 	src, err := strconv.ParseUint(srcStr, 10, 32)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, "bad ?source=%q", srcStr)
@@ -653,17 +618,6 @@ type queryManyRequest struct {
 	Sources []uint32 `json:"sources"`
 }
 
-type queryManyResponse struct {
-	Problem string   `json:"problem"`
-	Sources []uint32 `json:"sources"`
-	Width   int      `json:"width"`
-	Version uint64   `json:"version"`
-	Seconds float64  `json:"seconds"`
-	// Values is the stride-Width array: Values[x*Width+j] is query j's
-	// value at vertex x.
-	Values []uint64 `json:"values"`
-}
-
 func (s *Server) handleQueryMany(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
 	var req queryManyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -683,14 +637,7 @@ func (s *Server) handleQueryMany(ctx context.Context, w http.ResponseWriter, r *
 	// Same version contract as /v1/query: the snapshot the whole batch
 	// evaluated against, in both the header and the body.
 	w.Header().Set("X-Tripoline-Version", strconv.FormatUint(res.Version, 10))
-	return writeJSON(w, queryManyResponse{
-		Problem: res.Problem,
-		Sources: req.Sources,
-		Width:   res.Width,
-		Version: res.Version,
-		Seconds: res.Elapsed.Seconds(),
-		Values:  res.Values,
-	})
+	return writeBody(w, func(b []byte) []byte { return appendQueryManyResponse(b, res, req.Sources) })
 }
 
 func (s *Server) decodeEdges(w http.ResponseWriter, r *http.Request) ([]graph.Edge, bool) {

@@ -627,6 +627,32 @@ func (r *Router) CachedQueryAt(problem string, u graph.VertexID, version uint64)
 	return r.cache.getAt(problem, u, version)
 }
 
+// ViewCachedQuery is CachedQuery handing the hit to fn (see
+// core.System.ViewCachedQuery); across S>1 shards fn gets a copy.
+func (r *Router) ViewCachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool, fn func(*core.QueryResult, uint64)) bool {
+	if r.single() {
+		return r.shards[0].ViewCachedQuery(problem, u, minVersion, staleOK, fn)
+	}
+	res, stale, ok := r.CachedQuery(problem, u, minVersion, staleOK)
+	if ok {
+		fn(res, stale)
+	}
+	return ok
+}
+
+// ViewCachedQueryAt is CachedQueryAt handing the hit to fn (see
+// core.System.ViewCachedQueryAt).
+func (r *Router) ViewCachedQueryAt(problem string, u graph.VertexID, version uint64, fn func(*core.QueryResult)) bool {
+	if r.single() {
+		return r.shards[0].ViewCachedQueryAt(problem, u, version, fn)
+	}
+	res, ok := r.CachedQueryAt(problem, u, version)
+	if ok {
+		fn(res)
+	}
+	return ok
+}
+
 // ResultCacheMetrics reports cache activity (zero value when disabled).
 func (r *Router) ResultCacheMetrics() core.CacheMetrics {
 	if r.single() {

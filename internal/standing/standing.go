@@ -194,24 +194,30 @@ func (m *Manager) noteVersion(g engine.View) {
 	}
 }
 
-// StandingColumn returns slot k's converged forward property column
-// (property(r_k, x) for every x). It is a zero-copy view into the
-// standing state when the layout stores columns contiguously (K=1), and
-// a parallel strided copy on the width-K layouts (interleaved and
-// slot-blocked alike); either way the caller must treat it as read-only
-// and use it before the next maintenance pass.
-func (m *Manager) StandingColumn(k int) []uint64 {
-	if col, ok := m.Forward.ColumnView(k); ok {
-		return col
-	}
-	return m.Forward.Column(k)
+// DeltaInto Δ-initializes a user query rooted at u from the best
+// standing query (Eq. 15): it reads that standing slot in place through
+// Forward.StrideView and writes Δ(u, r*) for the first n vertices
+// (clamped to the standing state's size) through the strided
+// destination dst[x*stride+off] — one parallel O(N) pass on every
+// layout, with no column copied out of the standing state. With merge
+// the bound is folded into dst's current values instead (see
+// triangle.DeltaInitStrided). It returns the chosen slot and
+// property(u, r*). The caller holds the standing state still (the
+// system's shared lock) for the duration.
+func (m *Manager) DeltaInto(dst []uint64, stride, off, n int, u graph.VertexID, merge bool) (slot int, propUR uint64) {
+	slot, propUR = m.Select(u)
+	src, srcStride, srcOff := m.Forward.StrideView(slot)
+	triangle.DeltaInitStrided(dst, stride, off, src, srcStride, srcOff, min(n, m.Forward.N),
+		m.Problem, u, propUR, merge)
+	return slot, propUR
 }
 
 // DeltaFor materializes the Δ(u, r*) initialization array for a user
 // query rooted at u, using the best standing query. It returns the init
-// values, the chosen slot, and property(u, r*).
+// values (the one N-word allocation), the chosen slot, and
+// property(u, r*).
 func (m *Manager) DeltaFor(u graph.VertexID) (init []uint64, slot int, propUR uint64) {
-	slot, propUR = m.Select(u)
-	init = triangle.DeltaInit(m.Problem, u, propUR, m.StandingColumn(slot))
+	init = make([]uint64, m.Forward.N)
+	slot, propUR = m.DeltaInto(init, 1, 0, len(init), u, false)
 	return init, slot, propUR
 }

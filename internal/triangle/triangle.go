@@ -21,49 +21,45 @@ import (
 
 // DeltaInit materializes Δ(u,r) for a user query with source u: for each
 // vertex x, Combine(propUR, standing[x]). standing must hold
-// property(r, x) for all x (stride-K column access is handled by the
-// caller via engine.State.Column or the stride arguments below). The
-// source vertex u is reset to the problem's source value, and r's own
-// entry becomes Combine(propUR, property(r,r)).
+// property(r, x) for all x. The source vertex u is reset to the
+// problem's source value, and r's own entry becomes
+// Combine(propUR, property(r,r)).
 //
 // The returned slice is freshly allocated and suitable as the Values of a
 // K=1 engine.State.
 func DeltaInit(p engine.Problem, u graph.VertexID, propUR uint64, standing []uint64) []uint64 {
-	n := len(standing)
-	init := make([]uint64, n)
-	parallel.For(n, func(x int) {
-		init[x] = p.Combine(propUR, standing[x])
-	})
-	if int(u) < n {
-		init[u] = p.SourceValue()
-	}
+	init := make([]uint64, len(standing))
+	DeltaInitStrided(init, 1, 0, standing, 1, 0, len(standing), p, u, propUR, false)
 	return init
 }
 
-// DeltaInitInto is DeltaInit writing into dst (len(dst) ≥ len(standing)),
-// so batch paths can fill a width-K state's column views in place with no
-// intermediate allocation or copy.
-func DeltaInitInto(dst []uint64, p engine.Problem, u graph.VertexID, propUR uint64, standing []uint64) {
-	n := len(standing)
-	parallel.For(n, func(x int) {
-		dst[x] = p.Combine(propUR, standing[x])
+// DeltaInitStrided is the one Δ-initialization pass every query path
+// uses. Both sides are zero-copy strided views in the shape of
+// engine.State.StrideView — vertex x of the standing column is
+// src[x*srcStride+srcOff] and its destination is dst[x*dstStride+dstOff]
+// — so the standing state is read in place and the destination may be
+// one slot of a width-K state: no column is materialized on either side.
+// The pass covers vertices [0, n) in parallel.
+//
+// Without merge it writes Combine(propUR, standing(x)) and then resets u
+// to the problem's source value: a fresh Δ(u,r). With merge it keeps the
+// better of the current destination value and the Δ bound and leaves u
+// alone, folding one more standing bound into an existing init.
+func DeltaInitStrided(dst []uint64, dstStride, dstOff int, src []uint64, srcStride, srcOff, n int,
+	p engine.Problem, u graph.VertexID, propUR uint64, merge bool) {
+	parallel.ForRange(n, 4096, func(lo, hi int) {
+		d, s := dstOff+lo*dstStride, srcOff+lo*srcStride
+		for x := lo; x < hi; x++ {
+			cand := p.Combine(propUR, src[s])
+			if !merge || p.Better(cand, dst[d]) {
+				dst[d] = cand
+			}
+			d += dstStride
+			s += srcStride
+		}
 	})
-	if int(u) < n {
-		dst[u] = p.SourceValue()
-	}
-}
-
-// DeltaInitStridedInto is DeltaInit writing slot j of a width-stride
-// interleaved array (dst[x*stride+j] for every x covered by standing),
-// in parallel, with no intermediate column. It is the fallback for
-// states whose layout has no contiguous column to hand to DeltaInitInto.
-func DeltaInitStridedInto(dst []uint64, stride, j int, p engine.Problem, u graph.VertexID, propUR uint64, standing []uint64) {
-	n := len(standing)
-	parallel.For(n, func(x int) {
-		dst[x*stride+j] = p.Combine(propUR, standing[x])
-	})
-	if int(u) < n {
-		dst[int(u)*stride+j] = p.SourceValue()
+	if !merge && int(u) < n {
+		dst[int(u)*dstStride+dstOff] = p.SourceValue()
 	}
 }
 

@@ -93,28 +93,35 @@ func TestDeltaInitUnreachableRoot(t *testing.T) {
 	}
 }
 
-func TestDeltaInitIntoVariantsMatchColumn(t *testing.T) {
+func TestDeltaInitStridedMatchesColumn(t *testing.T) {
 	p := props.SSWP{}
 	standing := []uint64{9, 4, 6}
-	b := triangle.DeltaInit(p, 1, 5, standing)
+	want := triangle.DeltaInit(p, 1, 5, standing)
 
-	a := make([]uint64, len(standing))
-	triangle.DeltaInitInto(a, p, 1, 5, standing)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("into[%d]=%d, column=%d", i, a[i], b[i])
+	// Standing read in place as slot 2 of a three-wide array, written
+	// into slot 1 of a two-wide one.
+	src := make([]uint64, 3*len(standing))
+	for x, v := range standing {
+		src[x*3+2] = v
+	}
+	dst := make([]uint64, 2*len(standing))
+	triangle.DeltaInitStrided(dst, 2, 1, src, 3, 2, len(standing), p, 1, 5, false)
+	for x := range want {
+		if dst[x*2+1] != want[x] {
+			t.Fatalf("strided[%d]=%d, column=%d", x, dst[x*2+1], want[x])
+		}
+		if dst[x*2] != 0 {
+			t.Fatalf("strided write leaked into slot 0 at %d", x)
 		}
 	}
 
-	// Strided fallback: slot 1 of a two-wide interleaved array.
-	strided := make([]uint64, 2*len(standing))
-	triangle.DeltaInitStridedInto(strided, 2, 1, p, 1, 5, standing)
-	for i := range b {
-		if strided[i*2+1] != b[i] {
-			t.Fatalf("strided[%d]=%d, column=%d", i, strided[i*2+1], b[i])
-		}
-		if strided[i*2] != 0 {
-			t.Fatalf("strided write leaked into slot 0 at %d", i)
+	// Merge keeps the wider of the current value and the bound, and does
+	// not reset the source to SourceValue.
+	cur := []uint64{7, 0, 2}
+	triangle.DeltaInitStrided(cur, 1, 0, standing, 1, 0, len(standing), p, 1, 5, true)
+	for x, wantX := range []uint64{7, 4, 5} {
+		if cur[x] != wantX {
+			t.Fatalf("merge[%d]=%d, want %d", x, cur[x], wantX)
 		}
 	}
 }
