@@ -48,11 +48,9 @@ func main() {
 		batches  = flag.Int("batches", 1, "update batches applied per load point (paper: 5)")
 		probs    = flag.String("problems", "", "comma-separated problem subset (default: all eight)")
 		graphs   = flag.String("graphs", "", "comma-separated graph subset (default: all four)")
-		ablate   = flag.String("ablate", "", "comma-separated ablations to run (flat, deltaflat, batch, selection, dual, fusedK, shard)")
-		logn     = flag.Int("logn", 16, "log2 vertex count for the fusedK kernel and shard sweeps")
+		ablate   = flag.String("ablate", "", "comma-separated ablations to run (flat, deltaflat, batch, selection, dual, fusedK)")
+		logn     = flag.Int("logn", 16, "log2 vertex count for the fusedK kernel sweep")
 		kernJSON = flag.String("kerneljson", "BENCH_kernels.json", "dashboard-format output for the fusedK sweep (empty disables)")
-		shards   = flag.String("shards", "1,2,4,8", "comma-separated shard counts for the shard sweep")
-		shdJSON  = flag.String("shardjson", "BENCH_shard.json", "dashboard-format output for the shard sweep (empty disables)")
 		seed     = flag.Uint64("seed", 0x7121, "experiment seed")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
 		verify   = flag.Bool("verify", false, "run the cross-validation self-check instead of benchmarks")
@@ -210,36 +208,8 @@ func main() {
 					}
 					fmt.Printf("wrote %s\n", *kernJSON)
 				})
-			case "shard":
-				run("ablation shard", func() {
-					var counts []int
-					for _, s := range strings.Split(*shards, ",") {
-						var c int
-						if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &c); err != nil || c < 1 {
-							fmt.Fprintf(os.Stderr, "bad -shards entry %q\n", s)
-							os.Exit(2)
-						}
-						counts = append(counts, c)
-					}
-					cells := bench.AblationShard(os.Stdout, *logn, o.BatchSize, o.K, counts, o.Seed)
-					report.AddAblationShard(cells)
-					if *shdJSON == "" {
-						return
-					}
-					f, err := os.Create(*shdJSON)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
-						os.Exit(1)
-					}
-					defer f.Close()
-					if err := bench.WriteShardBenchJSON(f, cells, commitID(), time.Now()); err != nil {
-						fmt.Fprintln(os.Stderr, "tripoline-bench:", err)
-						os.Exit(1)
-					}
-					fmt.Printf("wrote %s\n", *shdJSON)
-				})
 			default:
-				fmt.Fprintf(os.Stderr, "unknown ablation %q (want flat, deltaflat, batch, selection, dual, fusedK, shard)\n", a)
+				fmt.Fprintf(os.Stderr, "unknown ablation %q (want flat, deltaflat, batch, selection, dual, fusedK)\n", a)
 				os.Exit(2)
 			}
 		}

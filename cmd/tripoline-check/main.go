@@ -47,15 +47,11 @@ func run() int {
 	reproDir := flag.String("repro-dir", "", "write dd-minimized repros for diverging schedules into this directory")
 	corrupt := flag.Bool("corrupt-delta", false, "arm the skew-delta fault seam (self-test: every flat replay must diverge)")
 	serving := flag.Bool("serving", false, "run the serving-layer checker (Delta-result cache + subscriptions) instead of the replay checker")
-	shards := flag.Int("shards", 0, "run the sharded checker: replay each schedule through a 1-shard and an N-shard router and diff every result")
 	verbose := flag.Bool("v", false, "print one line per schedule")
 	flag.Parse()
 
 	if *serving {
 		return runServing(*schedules, *seed, *jsonOut, *verbose)
-	}
-	if *shards > 1 {
-		return runSharded(*schedules, *seed, *shards, *jsonOut, *verbose)
 	}
 
 	opts := check.Options{CorruptDelta: *corrupt}
@@ -101,45 +97,6 @@ func run() int {
 		fmt.Printf("faults: cancels=%d (fired %d) deny-retain=%d force-full=%d evicts=%d (fired %d)\n",
 			sum.Faults.Cancels, sum.Faults.CancelsFired, sum.Faults.DenyRetain,
 			sum.Faults.ForceFull, sum.Faults.Evicts, sum.Faults.EvictsFired)
-	}
-	if sum.Divergences > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runSharded drives the sharded differential checker: each schedule is
-// replayed through a single-shard router and an S-shard router, and
-// every non-volatile observation is diffed at its exact global version.
-func runSharded(schedules int, seed uint64, shards int, jsonOut, verbose bool) int {
-	start := time.Now()
-	sum := check.RunShardedMany(schedules, seed, shards, func(i int, v check.Verdict) {
-		if verbose || v.Diverged {
-			fmt.Fprintf(os.Stderr, "schedule %d: seed=%d n=%d ops=%d queries=%d diverged=%v\n",
-				i, v.Seed, v.N, v.Ops, v.Queries, v.Diverged)
-		}
-		for _, r := range v.Reasons {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-	})
-	elapsed := time.Since(start)
-
-	if jsonOut {
-		out := struct {
-			check.Summary
-			Shards          int     `json:"shards"`
-			ElapsedMS       int64   `json:"elapsed_ms"`
-			SchedulesPerSec float64 `json:"schedules_per_sec"`
-		}{sum, shards, elapsed.Milliseconds(), float64(sum.Schedules) / elapsed.Seconds()}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "tripoline-check: %v\n", err)
-			return 2
-		}
-	} else {
-		fmt.Printf("sharded-checked %d schedules (seed %d, S=%d) in %v: %d queries, %d divergences\n",
-			sum.Schedules, sum.Seed, shards, elapsed.Round(time.Millisecond), sum.Queries, sum.Divergences)
 	}
 	if sum.Divergences > 0 {
 		return 1

@@ -7,7 +7,7 @@
 //	tripoline-loadgen -scenario query-heavy -duration 10s          # self-hosted target
 //	tripoline-loadgen -target http://host:8080 -scenario all       # live server
 //	tripoline-loadgen -scenario all -duration 5s -json BENCH_loadgen.json -max-inflight 4,16,64
-//	tripoline-loadgen -conform                                     # S=1 vs S=4 conformance + 429 probe
+//	tripoline-loadgen -conform                                     # cache-on vs cache-off conformance + 429 probe
 //
 // With no -target the driver self-hosts an in-process server built the
 // same way cmd/tripoline-server builds one, so a seeded run doubles as
@@ -55,8 +55,7 @@ func main() {
 		seed     = flag.Uint64("seed", 0x51ab, "deterministic op-stream seed")
 		jsonPath = flag.String("json", "", "write dashboard-format results to this file (e.g. BENCH_loadgen.json)")
 		sweepArg = flag.String("max-inflight", "", "comma-separated admission settings for a saturation sweep over self-hosted servers (e.g. 4,16,64)")
-		conform  = flag.Bool("conform", false, "run the S=1 vs S=4 conformance replay and 429 admission probe, then exit")
-		shards   = flag.Int("shards", 1, "self-hosted shard count (ignored with -target)")
+		conform  = flag.Bool("conform", false, "run the cache-on vs cache-off conformance replay and 429 admission probe, then exit")
 		vertices = flag.Int("vertices", 2048, "self-hosted graph size (ignored with -target)")
 		edges    = flag.Int("edges", 0, "self-hosted seed edge count (0 = 8x vertices; ignored with -target)")
 	)
@@ -68,7 +67,7 @@ func main() {
 	defer stop()
 
 	if *conform {
-		runConform(ctx, *shards, *seed)
+		runConform(ctx, *seed)
 		return
 	}
 
@@ -84,7 +83,7 @@ func main() {
 	}
 
 	selfHost := loadgen.SelfHostConfig{
-		Vertices: *vertices, Edges: *edges, Shards: *shards, Seed: *seed,
+		Vertices: *vertices, Edges: *edges, Seed: *seed,
 		HistoryCapacity: 16, CacheEntries: 256,
 	}
 
@@ -182,37 +181,30 @@ func main() {
 	os.Exit(exitCode)
 }
 
-// runConform replays the seeded conformance trace (core S=1 against
-// sharded S=N) and probes the admission gate's 429 contract on both,
-// exiting nonzero on any disallowed divergence.
-func runConform(ctx context.Context, shards int, seed uint64) {
-	if shards <= 1 {
-		shards = 4
-	}
-	rep, err := loadgen.RunConformance(ctx, loadgen.ConformanceConfig{Shards: shards, Seed: seed})
+// runConform replays the seeded conformance trace (result cache on
+// against result cache off) and probes the admission gate's 429
+// contract, exiting nonzero on any divergence or violation.
+func runConform(ctx context.Context, seed uint64) {
+	rep, err := loadgen.RunConformance(ctx, loadgen.ConformanceConfig{Seed: seed})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("conformance: %d steps against S=1 and S=%d, %d allowed divergences (subscribe at S>1)\n",
-		rep.Steps, rep.Shards, rep.Allowed)
-	bad := rep.Disallowed()
-	for _, d := range bad {
-		fmt.Printf("  DIVERGENCE step %d %s: %s\n", d.Step, d.Op, d.Desc)
+	fmt.Printf("conformance: %d steps, result cache on vs off: %d divergences, 0 allowed divergences (every step is compared strictly)\n",
+		rep.Steps, len(rep.Divergences))
+	for _, d := range rep.Divergences {
+		fmt.Printf("  DIVERGENCE %s\n", d)
 	}
-	failed := len(bad) > 0
-	for _, s := range []int{1, shards} {
-		violations, err := loadgen.ProbeAdmission(ctx, s)
-		if err != nil {
-			fatal(err)
-		}
-		if len(violations) == 0 {
-			fmt.Printf("admission probe S=%d: all endpoints answered 429 with Retry-After\n", s)
-			continue
-		}
+	failed := len(rep.Divergences) > 0
+	violations, err := loadgen.ProbeAdmission(ctx)
+	if err != nil {
+		fatal(err)
+	}
+	if len(violations) == 0 {
+		fmt.Println("admission probe: all endpoints answered 429 with Retry-After")
+	}
+	for _, v := range violations {
 		failed = true
-		for _, v := range violations {
-			fmt.Printf("  ADMISSION VIOLATION S=%d: %s\n", s, v)
-		}
+		fmt.Printf("  ADMISSION VIOLATION: %s\n", v)
 	}
 	if failed {
 		os.Exit(1)

@@ -33,7 +33,6 @@ import (
 	"tripoline/internal/gen"
 	"tripoline/internal/graph"
 	"tripoline/internal/server"
-	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
 )
 
@@ -60,7 +59,6 @@ func main() {
 		scale    = flag.Int("scale", 1, "graph scale factor")
 		probs    = flag.String("problems", "SSWP,SSSP,BFS", "problems to enable")
 		k        = flag.Int("k", 16, "standing queries per problem")
-		shards   = flag.Int("shards", 1, "hash-partitioned shard cores (1 = unsharded)")
 		seed     = flag.Uint64("seed", 42, "seed for synthetic graphs")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-query deadline (0 disables)")
@@ -104,38 +102,21 @@ func main() {
 		server.WithMaxInFlight(*maxInFlight, *queueDepth),
 		server.WithSubscriptionBuffer(*subBuffer),
 	}
-	var srv *server.Server
-	if *shards > 1 {
-		r := shard.New(n, directedGraph, *shards, *k)
-		r.ApplyBatch(edges)
-		for _, p := range strings.Split(*probs, ",") {
-			if err := r.Enable(p); err != nil {
-				log.Fatal(err)
-			}
+	g := streamgraph.New(n, directedGraph)
+	g.InsertEdges(edges)
+	sys := core.NewSystem(g, *k)
+	for _, p := range strings.Split(*probs, ",") {
+		if err := sys.Enable(p); err != nil {
+			log.Fatal(err)
 		}
-		if *resultCache > 0 {
-			r.EnableResultCache(*resultCache)
-		}
-		fmt.Printf("tripoline-server: %d vertices, %d arcs, %d shards, problems %v, listening on %s\n",
-			r.NumVertices(), r.NumEdges(), r.Shards(), r.Enabled(), *addr)
-		srv = server.NewSharded(r, serverOpts...)
-	} else {
-		g := streamgraph.New(n, directedGraph)
-		g.InsertEdges(edges)
-		sys := core.NewSystem(g, *k)
-		for _, p := range strings.Split(*probs, ",") {
-			if err := sys.Enable(p); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *resultCache > 0 {
-			sys.EnableResultCache(*resultCache)
-		}
-		snap := g.Acquire()
-		fmt.Printf("tripoline-server: %d vertices, %d arcs, problems %v, listening on %s\n",
-			snap.NumVertices(), snap.NumEdges(), sys.Enabled(), *addr)
-		srv = server.New(sys, g, serverOpts...)
 	}
+	if *resultCache > 0 {
+		sys.EnableResultCache(*resultCache)
+	}
+	snap := g.Acquire()
+	fmt.Printf("tripoline-server: %d vertices, %d arcs, problems %v, listening on %s\n",
+		snap.NumVertices(), snap.NumEdges(), sys.Enabled(), *addr)
+	srv := server.New(sys, g, serverOpts...)
 	httpSrv := newHTTPServer(*addr, srv)
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop admitting (503), let

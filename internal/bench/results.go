@@ -29,27 +29,6 @@ type Report struct {
 	AblationFlat      []AblationFlatJSON          `json:"ablation_flat,omitempty"`
 	AblationDeltaFlat []AblationDeltaFlatJSON     `json:"ablation_deltaflat,omitempty"`
 	AblationFusedK    []AblationFusedKJSON        `json:"ablation_fusedk,omitempty"`
-	AblationShard     []AblationShardJSON         `json:"ablation_shard,omitempty"`
-}
-
-// AblationShardJSON flattens an AblationShardCell for serialization.
-type AblationShardJSON struct {
-	Graph            string  `json:"graph"`
-	LogN             int     `json:"logn"`
-	Shards           int     `json:"shards"`
-	Batches          int     `json:"batches"`
-	EdgesApplied     int64   `json:"edges_applied"`
-	ApplySec         float64 `json:"apply_sec"`
-	ApplyEdgesPerSec float64 `json:"apply_edges_per_sec"`
-	Queries          int     `json:"queries"`
-	DeltaQuerySec    float64 `json:"delta_query_sec"`
-	DeltaQPS         float64 `json:"delta_qps"`
-	FullQuerySec     float64 `json:"full_query_sec"`
-	FullQPS          float64 `json:"full_qps"`
-	ApplySpeedup     float64 `json:"apply_speedup"`
-	QuerySpeedup     float64 `json:"query_speedup"`
-	FullSpeedup      float64 `json:"full_speedup"`
-	Verified         bool    `json:"verified"`
 }
 
 // AblationFusedKJSON flattens an AblationFusedKCell for serialization.
@@ -218,27 +197,6 @@ func (r *Report) AddAblationFusedK(cells []AblationFusedKCell) {
 			Speedup:          c.Speedup,
 			Hoists:           c.Hoists, GateSkips: c.GateSkips, BlockSweeps: c.BlockSweeps,
 			Verified: c.Verified,
-		})
-	}
-}
-
-// AddAblationShard records shard-count sweep points.
-func (r *Report) AddAblationShard(cells []AblationShardCell) {
-	for _, c := range cells {
-		r.AblationShard = append(r.AblationShard, AblationShardJSON{
-			Graph: c.Graph, LogN: c.LogN, Shards: c.Shards,
-			Batches: c.Batches, EdgesApplied: c.EdgesApplied,
-			ApplySec:         c.ApplyTotal.Seconds(),
-			ApplyEdgesPerSec: c.ApplyEdgesPerSec,
-			Queries:          c.Queries,
-			DeltaQuerySec:    c.QueryTotal.Seconds(),
-			DeltaQPS:         c.QueriesPerSec,
-			FullQuerySec:     c.FullTotal.Seconds(),
-			FullQPS:          c.FullPerSec,
-			ApplySpeedup:     c.ApplySpeedup,
-			QuerySpeedup:     c.QuerySpeedup,
-			FullSpeedup:      c.FullSpeedup,
-			Verified:         c.Verified,
 		})
 	}
 }

@@ -65,7 +65,6 @@ func (s *System) ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (Bat
 		BatchEdges:     len(batch),
 		ChangedSources: len(changed),
 		Version:        snap.Version(),
-		Changed:        changed,
 	}
 	start := time.Now()
 	if len(changed) > 0 {

@@ -97,7 +97,7 @@ func (h *simpleHandler) queryMulti(ctx context.Context, s *System, sources []gra
 				return &engine.CanceledError{Cause: err}
 			}
 			arr, stride, off := st.StrideView(j)
-			res.Slots[j], res.PropURs[j] = h.mgr.DeltaInto(arr, stride, off, n, u, false)
+			res.Slots[j], res.PropURs[j] = h.mgr.DeltaInto(arr, stride, off, n, u)
 		}
 		return nil
 	})

@@ -305,7 +305,7 @@ func (h *simpleHandler) refreshSubscribed(view engine.View, sources []graph.Vert
 		st := engine.NewState(p, n, w)
 		for j, u := range chunk {
 			arr, stride, off := st.StrideView(j)
-			h.mgr.DeltaInto(arr, stride, off, n, u, false)
+			h.mgr.DeltaInto(arr, stride, off, n, u)
 		}
 		seeds, masks := sourceSeeds(chunk)
 		st.RunPush(view, seeds, masks)

@@ -42,7 +42,7 @@ type QueryResult struct {
 	Problem string
 	Source  graph.VertexID
 	// Values holds the converged per-vertex values: width 1 for the six
-	// simple problems, width props.NumRadiiSources for Radii, and the BFS
+	// simple problems, width props.RadiiWidth for Radii, and the BFS
 	// levels for SSNSP.
 	Values []uint64
 	Width  int
@@ -79,11 +79,6 @@ type BatchReport struct {
 	StandingElapsed time.Duration
 	StandingStats   engine.Stats
 	Version         uint64
-	// Changed lists the distinct source vertices whose adjacency changed,
-	// as returned by the streamgraph mutation. The shard router unions
-	// these across shards to drive whole-graph maintenance (CC resumption)
-	// and cache invalidation at the global version.
-	Changed []graph.VertexID
 	// Subscription fan-out for this batch: registered subscribers at
 	// refresh time, frames delivered, frames dropped on full channels,
 	// and the wall time of the fused refresh (zero with no subscribers).
@@ -385,7 +380,6 @@ func (s *System) ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (BatchRe
 		BatchEdges:     len(batch),
 		ChangedSources: len(changed),
 		Version:        snap.Version(),
-		Changed:        changed,
 	}
 	start := time.Now()
 	view := s.updateView(parent, snap, changed)
@@ -467,43 +461,6 @@ func (s *System) QueryCtx(ctx context.Context, name string, u graph.VertexID) (*
 	}
 	s.cacheStore(res)
 	return res, nil
-}
-
-// DeltaMergeInto folds this system's best Δ(u, r*) initialization for
-// the named problem into init: init[x] becomes the better of its current
-// value and Combine(property(u, r*), property(r*, x)), computed from the
-// standing state under the shared lock. The merge happens only when the
-// standing state's converged version equals wantVersion — the caller (the
-// shard router) pins a snapshot vector first and must never pair standing
-// bounds from a different version with it, because newer bounds can be
-// *too good* for the pinned view and monotone relaxation cannot recover
-// from that. It returns the chosen standing slot and property(u, r*)
-// alongside ok=false when the problem is not a simple triangle problem,
-// not enabled, or the version gate fails — in which case init is
-// untouched, which is always sound (the caller falls back to the default
-// initialization for this system's share of the bounds).
-//
-// The merged bounds are computed over this system's graph only. When that
-// graph is one shard of a larger partitioned graph, its properties are
-// never better than the full graph's (every problem here improves
-// monotonically under edge insertion), so the merged Δ remains a sound —
-// merely weaker — initialization for evaluation over the union.
-func (s *System) DeltaMergeInto(problem string, u graph.VertexID, wantVersion uint64, init []uint64) (slot int, propUR uint64, ok bool) {
-	h, err := s.lookup(problem)
-	if err != nil {
-		return 0, 0, false
-	}
-	sh, isSimple := h.(*simpleHandler)
-	if !isSimple {
-		return 0, 0, false
-	}
-	s.stMu.RLock()
-	defer s.stMu.RUnlock()
-	if sh.mgr.LastVersion != wantVersion || int(u) >= s.G.Acquire().NumVertices() {
-		return 0, 0, false
-	}
-	slot, propUR = sh.mgr.DeltaInto(init, 1, 0, len(init), u, true)
-	return slot, propUR, true
 }
 
 // QueryFull answers a user query with a from-scratch (non-incremental)
@@ -609,16 +566,12 @@ func (h *radiiHandler) update(g engine.View, changed []graph.VertexID) engine.St
 
 func (h *radiiHandler) lastMaintain() time.Duration { return h.mgr.LastMaintain }
 
-// RadiiSources derives the deterministic SSSP sources of a Radii query
+// radiiSources derives the deterministic SSSP sources of a Radii query
 // rooted at u over an n-vertex graph: slot 0 is u itself and the
-// remaining props.NumRadiiSources-1 helpers are a splitmix-style
-// sequence seeded by u. Exported so the shard router evaluates the
-// identical source set when it scatters a Radii query across shards.
-func RadiiSources(u graph.VertexID, n int) []graph.VertexID { return radiiSources(u, n) }
-
-// radiiSources derives the query's 16 SSSP sources from u.
+// remaining props.RadiiWidth-1 helpers are a splitmix-style
+// sequence seeded by u.
 func radiiSources(u graph.VertexID, n int) []graph.VertexID {
-	out := make([]graph.VertexID, props.NumRadiiSources)
+	out := make([]graph.VertexID, props.RadiiWidth)
 	out[0] = u
 	seed := uint64(u)*0x9E3779B97F4A7C15 + 1
 	for i := 1; i < len(out); i++ {
@@ -649,7 +602,7 @@ func (h *radiiHandler) queryDelta(ctx context.Context, s *System, u graph.Vertex
 				return &engine.CanceledError{Cause: err}
 			}
 			arr, stride, off := st.StrideView(j)
-			h.mgr.DeltaInto(arr, stride, off, n, src, false)
+			h.mgr.DeltaInto(arr, stride, off, n, src)
 		}
 		return nil
 	})

@@ -206,7 +206,7 @@ func TestRadiiDeterministicSources(t *testing.T) {
 	sys, _, _ := buildSystem(t, false, "Radii")
 	a, _ := sys.Query("Radii", 8)
 	b, _ := sys.QueryFull("Radii", 8)
-	if a.Width != props.NumRadiiSources || b.Width != props.NumRadiiSources {
+	if a.Width != props.RadiiWidth || b.Width != props.RadiiWidth {
 		t.Fatalf("widths %d/%d", a.Width, b.Width)
 	}
 	if a.Radius != b.Radius {

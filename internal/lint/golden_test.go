@@ -109,11 +109,9 @@ func TestCtxflowGolden(t *testing.T) {
 	runGolden(t, Ctxflow, "ctxflow", "ctxflow_main", "ctxflow_server")
 }
 func TestSentinelcmpGolden(t *testing.T) { runGolden(t, Sentinelcmp, "sentinelcmp") }
-func TestLockscopeGolden(t *testing.T) {
-	runGolden(t, Lockscope, "lockscope", "lockscope_shard")
-}
-func TestRefbalanceGolden(t *testing.T) { runGolden(t, Refbalance, "refbalance") }
-func TestGoroleakGolden(t *testing.T)   { runGolden(t, Goroleak, "goroleak") }
+func TestLockscopeGolden(t *testing.T)   { runGolden(t, Lockscope, "lockscope") }
+func TestRefbalanceGolden(t *testing.T)  { runGolden(t, Refbalance, "refbalance") }
+func TestGoroleakGolden(t *testing.T)    { runGolden(t, Goroleak, "goroleak") }
 
 // TestSuppression checks the //lint:ignore machinery: a well-formed
 // directive (same line or line above) suppresses, a reason-less

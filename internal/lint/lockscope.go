@@ -17,12 +17,8 @@ import (
 // turns that serialization into a latent deadlock under the serving
 // layer's concurrency.
 //
-// Scope: packages internal/engine, internal/core, and internal/shard
-// (by import path or package name). The sharded router is in scope
-// because its gather rounds hold no lock while fanning out to shard
-// engines — the admission token (a buffered channel) is the only
-// serialization, and it must never be acquired under a mutex. The
-// serving layer is deliberately out of scope — its writeMu exists
+// Scope: packages internal/engine and internal/core (by import path or
+// package name). The serving layer is deliberately out of scope — its writeMu exists
 // precisely to serialize ApplyBatch calls, which is this rule's
 // canonical violation everywhere else.
 //
@@ -39,12 +35,11 @@ var Lockscope = &Analyzer{
 
 // lockscopeInScope reports whether the package is subject to the rule.
 func lockscopeInScope(pkg *Package) bool {
-	if strings.Contains(pkg.Path, "internal/engine") || strings.Contains(pkg.Path, "internal/core") ||
-		strings.Contains(pkg.Path, "internal/shard") {
+	if strings.Contains(pkg.Path, "internal/engine") || strings.Contains(pkg.Path, "internal/core") {
 		return true
 	}
 	name := pkg.Pkg.Name()
-	return name == "engine" || name == "core" || name == "shard"
+	return name == "engine" || name == "core"
 }
 
 func runLockscope(pass *Pass) {

@@ -5,9 +5,9 @@
 // in-process), recording per-endpoint latency histograms and
 // status-code accounting. The same deterministic scenario machinery
 // doubles as the server conformance suite: a seeded operation trace
-// replayed sequentially against an unsharded and a sharded server must
-// produce identical status-code and header contracts (modulo the one
-// documented divergence, subscriptions at S>1).
+// replayed sequentially against a server with the Δ-result cache on and
+// one with it off must produce identical status codes, headers and
+// answers.
 //
 // Everything is stdlib-only, like the rest of the repo: the pacer takes
 // a pluggable clock so its arithmetic is unit-testable without real

@@ -16,25 +16,20 @@ import (
 )
 
 // The conformance suite replays one deterministic op trace against two
-// self-hosted servers — an unsharded core (S=1) and a sharded router
-// (S>1) — and compares what the wire actually said: status codes, error
-// envelope codes, the X-Tripoline-Version header, and a hash of the
-// answer values. The serving layer promises that sharding is invisible
-// to clients (same API, same versions, bit-identical answers for the
-// integer-semiring problems); this suite is that promise, executable.
-//
-// One divergence is structural and therefore allowed: /v1/subscribe
-// (both SSE and long-poll modes) is unsupported behind the sharded
-// router, so S=1 answers 200 where S>1 answers 400/bad_request. The
-// comparator recognizes exactly that pattern and records it as allowed;
-// anything else on those steps is a real divergence.
+// self-hosted servers — one with the Δ-result cache on, one with it
+// off, both retaining 8 snapshots of history — and compares what the
+// wire actually said: status codes, error envelope codes, the
+// X-Tripoline-Version header, and a hash of the answer values. The
+// cache promises to be invisible to clients apart from its own headers
+// (a fresh read answers at the current version with exactly the
+// evaluated values); this suite is that promise, executable. Every step,
+// subscriptions included, is compared strictly.
 
 // ConformanceConfig shapes one conformance run. The zero value is
-// usable: 1024 vertices, 4 shards, 160 steps, seed 1.
+// usable: 1024 vertices, 160 steps, seed 1.
 type ConformanceConfig struct {
 	Vertices int
 	Edges    int
-	Shards   int // the S>1 side; default 4
 	Steps    int
 	Seed     uint64
 }
@@ -45,9 +40,6 @@ func (c ConformanceConfig) withDefaults() ConformanceConfig {
 	}
 	if c.Edges <= 0 {
 		c.Edges = 6 * c.Vertices
-	}
-	if c.Shards <= 1 {
-		c.Shards = 4
 	}
 	if c.Steps <= 0 {
 		c.Steps = 160
@@ -84,46 +76,27 @@ func (o Observation) String() string {
 
 // Divergence is one contract mismatch between the two servers.
 type Divergence struct {
-	Step    int    `json:"step"`
-	Op      string `json:"op"`
-	Desc    string `json:"desc"`
-	Field   string `json:"field"`
-	Core    string `json:"core"`    // S=1 observation
-	Sharded string `json:"sharded"` // S>1 observation
-	Allowed bool   `json:"allowed"` // structural (subscribe at S>1)
+	Step     int    `json:"step"`
+	Op       string `json:"op"`
+	Desc     string `json:"desc"`
+	Field    string `json:"field"`
+	Cached   string `json:"cached"`   // result-cache-on observation
+	Uncached string `json:"uncached"` // result-cache-off observation
 }
 
 func (d Divergence) String() string {
-	tag := ""
-	if d.Allowed {
-		tag = " [allowed]"
-	}
-	return fmt.Sprintf("step %d %s (%s): %s — core=%s sharded=%s%s", d.Step, d.Op, d.Desc, d.Field, d.Core, d.Sharded, tag)
+	return fmt.Sprintf("step %d %s (%s): %s — cached=%s uncached=%s", d.Step, d.Op, d.Desc, d.Field, d.Cached, d.Uncached)
 }
 
-// ConformanceReport summarizes one run.
+// ConformanceReport summarizes one run; any divergence fails it.
+// CacheHits counts the reads the cached server answered from its result
+// cache at the current version: a run with none never diffed a cached
+// answer.
 type ConformanceReport struct {
 	Steps       int          `json:"steps"`
-	Shards      int          `json:"shards"`
 	Seed        uint64       `json:"seed"`
+	CacheHits   uint64       `json:"cache_hits"`
 	Divergences []Divergence `json:"divergences,omitempty"`
-	Allowed     int          `json:"allowed_divergences"`
-}
-
-// Failed reports whether any disallowed divergence was observed.
-func (r *ConformanceReport) Failed() bool {
-	return len(r.Divergences) > r.Allowed
-}
-
-// Disallowed returns only the real divergences.
-func (r *ConformanceReport) Disallowed() []Divergence {
-	var out []Divergence
-	for _, d := range r.Divergences {
-		if !d.Allowed {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // traceStep is one deterministic op: the same request is issued to both
@@ -138,9 +111,6 @@ type traceStep struct {
 	// error code are always compared.
 	compareVersion bool
 	compareValues  bool
-	// subscribeStep marks the one op whose S>1 behavior is structurally
-	// different (ErrSubscribeUnsupported → 400/bad_request).
-	subscribeStep bool
 }
 
 // RunConformance builds the two servers, replays the trace, and reports
@@ -149,36 +119,33 @@ type traceStep struct {
 // not errors.
 func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceReport, error) {
 	cfg = cfg.withDefaults()
-	base := SelfHostConfig{
+	uncachedCfg := SelfHostConfig{
 		Vertices: cfg.Vertices,
 		Edges:    cfg.Edges,
-		// The integer-semiring problems: answers must be bit-identical
-		// across shard counts. PageRank is only 1e-6-equal, so it stays
-		// out of the hashing trace.
+		// The integer-semiring problems: answers are hashed bit for bit.
+		// PageRank is only 1e-6-equal, so it stays out of the trace.
 		Problems:        []string{"SSSP", "SSWP", "BFS"},
 		K:               8,
 		Seed:            cfg.Seed,
 		HistoryCapacity: 8,
-		CacheEntries:    64,
 	}
-	coreCfg, shardCfg := base, base
-	coreCfg.Shards = 1
-	shardCfg.Shards = cfg.Shards
+	cachedCfg := uncachedCfg
+	cachedCfg.CacheEntries = 64
 
-	a, err := SelfHost(coreCfg)
+	a, err := SelfHost(cachedCfg)
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: conformance: core server: %w", err)
+		return nil, fmt.Errorf("loadgen: conformance: cached server: %w", err)
 	}
 	defer a.Close()
-	b, err := SelfHost(shardCfg)
+	b, err := SelfHost(uncachedCfg)
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: conformance: sharded server: %w", err)
+		return nil, fmt.Errorf("loadgen: conformance: uncached server: %w", err)
 	}
 	defer b.Close()
 
-	rep := &ConformanceReport{Steps: cfg.Steps, Shards: cfg.Shards, Seed: cfg.Seed}
+	rep := &ConformanceReport{Steps: cfg.Steps, Seed: cfg.Seed}
 	hc := &http.Client{Timeout: 30 * time.Second}
-	tr := &tracer{rng: xrand.New(cfg.Seed), vertices: cfg.Vertices, problems: base.Problems}
+	tr := &tracer{rng: xrand.New(cfg.Seed), vertices: cfg.Vertices, problems: uncachedCfg.Problems}
 
 	for i := 0; i < cfg.Steps; i++ {
 		if err := ctx.Err(); err != nil {
@@ -187,19 +154,16 @@ func RunConformance(ctx context.Context, cfg ConformanceConfig) (*ConformanceRep
 		step := tr.next()
 		oa, err := observe(ctx, hc, a.URL, step)
 		if err != nil {
-			return rep, fmt.Errorf("loadgen: conformance: step %d against core: %w", i, err)
+			return rep, fmt.Errorf("loadgen: conformance: step %d against cached: %w", i, err)
 		}
 		ob, err := observe(ctx, hc, b.URL, step)
 		if err != nil {
-			return rep, fmt.Errorf("loadgen: conformance: step %d against sharded: %w", i, err)
+			return rep, fmt.Errorf("loadgen: conformance: step %d against uncached: %w", i, err)
 		}
 		rep.Divergences = append(rep.Divergences, compare(i, step, oa, ob)...)
 	}
-	for _, d := range rep.Divergences {
-		if d.Allowed {
-			rep.Allowed++
-		}
-	}
+	cm := a.sys.ResultCacheMetrics()
+	rep.CacheHits = cm.Hits - cm.StaleServed
 	return rep, nil
 }
 
@@ -210,12 +174,33 @@ type tracer struct {
 	vertices int
 	problems []string
 	writes   uint64 // applied write batches (tracks server version growth)
+	last     traceStep
 }
 
 func (t *tracer) problem() string { return t.problems[t.rng.Intn(len(t.problems))] }
-func (t *tracer) source() int     { return t.rng.Intn(t.vertices) }
 
+// source draws half its picks from 8 hot vertices, so reads repeat
+// (problem, source) keys across writes: a cache that served an entry
+// past its version would answer them differently.
+func (t *tracer) source() int {
+	if t.rng.Intn(2) == 0 {
+		return t.rng.Intn(min(8, t.vertices))
+	}
+	return t.rng.Intn(t.vertices)
+}
+
+// next returns the trace's next step. A third of the steps after a plain
+// query re-issue it: with no write in between, the cached server answers
+// from its result cache, the path the replay exists to diff.
 func (t *tracer) next() traceStep {
+	if t.last.op == "query" && t.rng.Intn(3) == 0 {
+		return t.last
+	}
+	t.last = t.draw()
+	return t.last
+}
+
+func (t *tracer) draw() traceStep {
 	// Weighted cycle: reads dominate, every family appears.
 	switch roll := t.rng.Intn(100); {
 	case roll < 25: // plain query
@@ -313,21 +298,20 @@ func (t *tracer) next() traceStep {
 			path: fmt.Sprintf("/v1/query?problem=NOPE&source=%d", t.source()),
 			desc: "unknown problem",
 		}
-	case roll < 97: // long-poll subscribe (structurally divergent at S>1)
+	case roll < 97: // long-poll subscribe
 		p, u := t.problem(), t.source()
 		return traceStep{
 			op: "poll", method: http.MethodGet,
-			path:          fmt.Sprintf("/v1/subscribe?problem=%s&src=%d&mode=poll&wait=1", p, u),
-			desc:          fmt.Sprintf("%s src=%d poll", p, u),
-			subscribeStep: true,
+			path: fmt.Sprintf("/v1/subscribe?problem=%s&src=%d&mode=poll&wait=1", p, u),
+			desc: fmt.Sprintf("%s src=%d poll", p, u),
 		}
-	default: // SSE subscribe (structurally divergent at S>1)
+	default: // SSE subscribe
 		p, u := t.problem(), t.source()
 		return traceStep{
 			op: "subscribe", method: http.MethodGet,
 			path:          fmt.Sprintf("/v1/subscribe?problem=%s&src=%d", p, u),
 			desc:          fmt.Sprintf("%s src=%d sse", p, u),
-			subscribeStep: true,
+			compareValues: true, // both streams open with a snapshot frame
 		}
 	}
 }
@@ -337,7 +321,7 @@ func (t *tracer) next() traceStep {
 func observe(ctx context.Context, hc *http.Client, base string, step traceStep) (Observation, error) {
 	// Subscribe streams don't end on their own; bound them.
 	rctx := ctx
-	if step.subscribeStep {
+	if step.op == "subscribe" || step.op == "poll" {
 		var cancel context.CancelFunc
 		rctx, cancel = context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
@@ -381,6 +365,9 @@ func observe(ctx context.Context, hc *http.Client, base string, step traceStep) 
 		if err == nil && out.Frames > 0 && out.Snapshot {
 			obs.ValuesHash = hashStrings("snapshot")
 		}
+		// The stream never ends on its own: abandon it here rather than
+		// drain it, which would hold the step until rctx expires.
+		return obs, nil
 	case resp.StatusCode == http.StatusOK:
 		if err := hashBody(resp.Body, step, &obs); err != nil {
 			return obs, err
@@ -447,36 +434,26 @@ func hashStrings(ss ...string) uint64 {
 
 // compare reduces two observations of one step to divergences.
 func compare(i int, step traceStep, a, b Observation) []Divergence {
-	mk := func(field, av, bv string, allowed bool) Divergence {
-		return Divergence{Step: i, Op: step.op, Desc: step.desc, Field: field, Core: av, Sharded: bv, Allowed: allowed}
-	}
-	if step.subscribeStep && a.Status != b.Status {
-		// The one structural divergence: S=1 accepts (200 for a stream or
-		// a delivered delta, 204 for a long-poll that timed out with no
-		// change), S>1 answers 400 bad_request (ErrSubscribeUnsupported).
-		// Exactly that shape is allowed; anything else on a subscribe step
-		// is real.
-		coreOK := a.Status == http.StatusOK || a.Status == http.StatusNoContent
-		ok := coreOK && b.Status == http.StatusBadRequest && b.ErrCode == "bad_request"
-		return []Divergence{mk("status", a.String(), b.String(), ok)}
+	mk := func(field, av, bv string) Divergence {
+		return Divergence{Step: i, Op: step.op, Desc: step.desc, Field: field, Cached: av, Uncached: bv}
 	}
 	var out []Divergence
 	if a.Status != b.Status {
-		out = append(out, mk("status", a.String(), b.String(), false))
+		out = append(out, mk("status", a.String(), b.String()))
 		return out // downstream fields are meaningless across differing statuses
 	}
 	if a.Status >= 400 && a.ErrCode != b.ErrCode {
-		out = append(out, mk("error_code", a.ErrCode, b.ErrCode, false))
+		out = append(out, mk("error_code", a.ErrCode, b.ErrCode))
 	}
 	if a.Status == 429 && (a.RetryAfter != b.RetryAfter || !a.RetryAfter) {
-		out = append(out, mk("retry_after", fmt.Sprint(a.RetryAfter), fmt.Sprint(b.RetryAfter), false))
+		out = append(out, mk("retry_after", fmt.Sprint(a.RetryAfter), fmt.Sprint(b.RetryAfter)))
 	}
 	if a.Status == http.StatusOK {
 		if step.compareVersion && a.Version != b.Version {
-			out = append(out, mk("version", a.Version, b.Version, false))
+			out = append(out, mk("version", a.Version, b.Version))
 		}
 		if step.compareValues && a.ValuesHash != b.ValuesHash {
-			out = append(out, mk("values", a.String(), b.String(), false))
+			out = append(out, mk("values", a.String(), b.String()))
 		}
 	}
 	return out
@@ -505,14 +482,13 @@ var admissionEndpoints = []admissionEndpoint{
 // pinning one admitted request inside the handler (via the server's
 // admitted hook), then hits every gated endpoint and asserts the
 // saturation contract: status 429, error code "overloaded"-family
-// envelope, and a Retry-After header — on every endpoint, sharded
-// included. Returns the violations (empty means the contract holds).
+// envelope, and a Retry-After header — on every endpoint. Returns the violations (empty means the contract holds).
 //
 // Not safe to run concurrently with other servers in-process: the
 // admitted hook is package-global.
-func ProbeAdmission(ctx context.Context, shards int) ([]string, error) {
+func ProbeAdmission(ctx context.Context) ([]string, error) {
 	t, err := SelfHost(SelfHostConfig{
-		Vertices: 256, Edges: 1024, Shards: shards,
+		Vertices: 256, Edges: 1024,
 		Problems: []string{"SSSP"}, K: 4,
 		MaxInFlight: 1, QueueDepth: 0,
 		HistoryCapacity: 4,

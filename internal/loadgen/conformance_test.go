@@ -4,32 +4,46 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"tripoline/internal/xrand"
 )
 
-// TestConformanceCoreVsSharded replays the seeded trace against S=1 and
-// S=4 and requires zero disallowed divergences: same status codes, same
-// error envelope codes, same X-Tripoline-Version, bit-identical answer
-// hashes. The trace is long enough that every op family appears.
-func TestConformanceCoreVsSharded(t *testing.T) {
+// TestConformanceCacheOnVsOff replays the seeded trace against a
+// result-cache-on and a result-cache-off server (both with history) and
+// requires zero divergences: same status codes, same error envelope
+// codes, same X-Tripoline-Version, bit-identical answer hashes, on every
+// step including subscriptions. The trace must reach every op family,
+// or a clean report proves nothing about the families it skipped.
+func TestConformanceCacheOnVsOff(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	cfg := ConformanceConfig{Vertices: 512, Edges: 2048, Shards: 4, Steps: 200, Seed: 7}
+	cfg := ConformanceConfig{Vertices: 512, Edges: 2048, Steps: 200, Seed: 7}
 	if testing.Short() {
-		cfg = ConformanceConfig{Vertices: 256, Edges: 1024, Shards: 4, Steps: 60, Seed: 7}
+		cfg = ConformanceConfig{Vertices: 256, Edges: 1024, Steps: 80, Seed: 7}
 	}
+	tr := &tracer{rng: xrand.New(cfg.Seed), vertices: cfg.Vertices, problems: []string{"SSSP", "SSWP", "BFS"}}
+	ops := map[string]int{}
+	for i := 0; i < cfg.Steps; i++ {
+		ops[tr.next().op]++
+	}
+	for _, op := range []string{"query", "query_full", "querymany", "queryat", "query_stale",
+		"batch", "delete", "stats", "bad_request", "not_found", "poll", "subscribe"} {
+		if ops[op] == 0 {
+			t.Fatalf("seed %d trace of %d steps has no %s step (%v)", cfg.Seed, cfg.Steps, op, ops)
+		}
+	}
+
 	rep, err := RunConformance(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range rep.Disallowed() {
+	for _, d := range rep.Divergences {
 		t.Errorf("divergence: %s", d)
 	}
-	// The allowed subscribe divergence must actually have been exercised:
-	// a trace that never hit /v1/subscribe proves nothing about it.
-	if rep.Allowed == 0 {
-		t.Fatalf("trace produced no subscribe steps (allowed=0); the structural divergence went untested")
+	if rep.CacheHits == 0 {
+		t.Errorf("the cached server served no fresh hit; the replay never diffed a cached answer")
 	}
-	t.Logf("conformance: %d steps, %d allowed subscribe divergences, %d real", rep.Steps, rep.Allowed, len(rep.Disallowed()))
+	t.Logf("conformance: %d steps, %d fresh cache hits, %d divergences", rep.Steps, rep.CacheHits, len(rep.Divergences))
 }
 
 // TestConformanceSeedStability pins determinism: the same seed must
@@ -40,7 +54,7 @@ func TestConformanceSeedStability(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	cfg := ConformanceConfig{Vertices: 256, Edges: 1024, Shards: 2, Steps: 60, Seed: 11}
+	cfg := ConformanceConfig{Vertices: 256, Edges: 1024, Steps: 60, Seed: 11}
 	a, err := RunConformance(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,25 +63,22 @@ func TestConformanceSeedStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Allowed != b.Allowed || len(a.Divergences) != len(b.Divergences) {
-		t.Fatalf("same seed, different profile: %d/%d vs %d/%d divergences/allowed",
-			len(a.Divergences), a.Allowed, len(b.Divergences), b.Allowed)
+	if len(a.Divergences) != len(b.Divergences) {
+		t.Fatalf("same seed, different profile: %d vs %d divergences",
+			len(a.Divergences), len(b.Divergences))
 	}
 }
 
 // TestProbeAdmission pins the saturation contract on every gated
-// endpoint: a full gate answers 429 with Retry-After — on the unsharded
-// core and behind the sharded router alike.
+// endpoint: a full gate answers 429 with Retry-After.
 func TestProbeAdmission(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for _, shards := range []int{1, 4} {
-		violations, err := ProbeAdmission(ctx, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		for _, v := range violations {
-			t.Errorf("shards=%d: %s", shards, v)
-		}
+	violations, err := ProbeAdmission(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Error(v)
 	}
 }

@@ -258,8 +258,8 @@ func (rep *Report) WriteText(w io.Writer) {
 
 // ---------------------------------------------------------------------
 // BENCH_loadgen.json — the per-PR trajectory file, in the same
-// github-action-benchmark data.js shape the kernel and shard sweeps
-// emit, so all three feed the same dashboards.
+// github-action-benchmark data.js shape the kernel sweep emits, so
+// both feed the same dashboards.
 
 type benchFile struct {
 	LastUpdate int64                   `json:"lastUpdate"`

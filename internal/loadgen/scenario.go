@@ -160,7 +160,7 @@ func ScenarioNames() string {
 // RNG per worker (derived from the run seed and the worker index), so
 // a run's op sequence is a pure function of (scenario, seed, workers)
 // regardless of scheduling interleavings. The same property makes the
-// conformance trace reproducible across the S=1 and S=4 replays.
+// conformance trace reproducible across the replays it is diffed over.
 type Scheduler struct {
 	cum []int // cumulative weights, aligned with ops
 	ops []Op

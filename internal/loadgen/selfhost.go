@@ -9,15 +9,14 @@ import (
 	"tripoline/internal/core"
 	"tripoline/internal/gen"
 	"tripoline/internal/server"
-	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
 )
 
 // SelfHostConfig shapes an in-process server: the same construction
 // path cmd/tripoline-server uses, over a loopback listener. The sweep
 // and conformance suites need to own the server (to vary -max-inflight
-// per point, to drain on cue, to compare S=1 against S=4); the CLI uses
-// it when no -target is given.
+// per point, to drain on cue, to compare cache-on against cache-off);
+// the CLI uses it when no -target is given.
 type SelfHostConfig struct {
 	Vertices  int    // graph size; default 2048
 	Edges     int    // seed edge count; default 8·Vertices
@@ -25,7 +24,6 @@ type SelfHostConfig struct {
 	Directed  bool
 	Problems  []string // default SSWP, SSSP, BFS
 	K         int      // standing queries per problem; default 16
-	Shards    int      // 1 = unsharded core behind server.New
 	Seed      uint64
 
 	MaxInFlight  int // 0 = unbounded admission
@@ -54,9 +52,6 @@ func (c SelfHostConfig) withDefaults() SelfHostConfig {
 	if c.K <= 0 {
 		c.K = 16
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
@@ -66,10 +61,10 @@ func (c SelfHostConfig) withDefaults() SelfHostConfig {
 // Target is one self-hosted server: URL for the driver, handles for
 // drain and teardown.
 type Target struct {
-	URL    string
-	Shards int
-	srv    *server.Server
-	ts     *httptest.Server
+	URL string
+	sys *core.System
+	srv *server.Server
+	ts  *httptest.Server
 }
 
 // Drain flips the server into drain mode and waits for in-flight work.
@@ -92,39 +87,21 @@ func SelfHost(cfg SelfHostConfig) (*Target, error) {
 		server.WithMaxInFlight(cfg.MaxInFlight, cfg.QueueDepth),
 		server.WithSubscriptionBuffer(cfg.SubBuffer),
 	}
-	var srv *server.Server
-	if cfg.Shards > 1 {
-		r := shard.New(cfg.Vertices, cfg.Directed, cfg.Shards, cfg.K)
-		r.ApplyBatch(edges)
-		for _, p := range cfg.Problems {
-			if err := r.Enable(p); err != nil {
-				return nil, fmt.Errorf("loadgen: selfhost: %w", err)
-			}
+	g := streamgraph.New(cfg.Vertices, cfg.Directed)
+	g.InsertEdges(edges)
+	sys := core.NewSystem(g, cfg.K)
+	for _, p := range cfg.Problems {
+		if err := sys.Enable(p); err != nil {
+			return nil, fmt.Errorf("loadgen: selfhost: %w", err)
 		}
-		if cfg.HistoryCapacity > 0 {
-			r.EnableHistory(cfg.HistoryCapacity)
-		}
-		if cfg.CacheEntries > 0 {
-			r.EnableResultCache(cfg.CacheEntries)
-		}
-		srv = server.NewSharded(r, opts...)
-	} else {
-		g := streamgraph.New(cfg.Vertices, cfg.Directed)
-		g.InsertEdges(edges)
-		sys := core.NewSystem(g, cfg.K)
-		for _, p := range cfg.Problems {
-			if err := sys.Enable(p); err != nil {
-				return nil, fmt.Errorf("loadgen: selfhost: %w", err)
-			}
-		}
-		if cfg.HistoryCapacity > 0 {
-			sys.EnableHistory(cfg.HistoryCapacity)
-		}
-		if cfg.CacheEntries > 0 {
-			sys.EnableResultCache(cfg.CacheEntries)
-		}
-		srv = server.New(sys, g, opts...)
 	}
+	if cfg.HistoryCapacity > 0 {
+		sys.EnableHistory(cfg.HistoryCapacity)
+	}
+	if cfg.CacheEntries > 0 {
+		sys.EnableResultCache(cfg.CacheEntries)
+	}
+	srv := server.New(sys, g, opts...)
 	ts := httptest.NewServer(srv)
-	return &Target{URL: ts.URL, Shards: cfg.Shards, srv: srv, ts: ts}, nil
+	return &Target{URL: ts.URL, sys: sys, srv: srv, ts: ts}, nil
 }

@@ -254,12 +254,12 @@ func (SSR) KernelSpec() engine.KernelSpec {
 
 // --------------------------------------------------------------- Radii --
 
-// Radii estimates the graph radius by running NumRadiiSources SSSP queries
+// Radii estimates the graph radius by running RadiiWidth SSSP queries
 // simultaneously and taking the largest finite distance (§3, Table 1:
 // dist1..dist16). It is not itself an engine.Problem — it is a 16-wide
 // SSSP evaluation; the triangle inequality applied per slot is the SSSP
 // triangle. See package standing for its Δ-based path.
-const NumRadiiSources = 16
+const RadiiWidth = 16
 
 // RadiiEstimate reduces a 16-wide SSSP state column-set to the radius
 // estimate: the maximum finite distance observed in any slot.

@@ -85,11 +85,6 @@ func TestQueryManyVersionContract(t *testing.T) {
 	assertQueryManyVersion(t, ts)
 }
 
-func TestQueryManyVersionContractSharded(t *testing.T) {
-	ts, _ := newShardedTestServer(t, 4, "SSSP")
-	assertQueryManyVersion(t, ts)
-}
-
 // TestQueryManyVersionAdvances pins that the reported version tracks
 // writes: after a batch the querymany version must move with it.
 func TestQueryManyVersionAdvances(t *testing.T) {

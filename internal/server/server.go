@@ -33,8 +33,8 @@
 // consult it *before* the admission gate: a hit costs no evaluation
 // slot. Every error is a JSON envelope
 // {"error":{"code":"...","message":"..."}} whose code is one of
-// not_found, bad_request, canceled, deadline, draining, overloaded or
-// internal, mapped from the core package's sentinel errors.
+// not_found, bad_request, too_large, canceled, deadline, draining,
+// overloaded or internal, mapped from the core package's sentinel errors.
 package server
 
 import (
@@ -51,7 +51,6 @@ import (
 	"tripoline/internal/core"
 	"tripoline/internal/graph"
 	"tripoline/internal/metrics"
-	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
 )
 
@@ -59,51 +58,18 @@ import (
 // reported when a query was abandoned because the client went away.
 const StatusClientClosedRequest = 499
 
-// backend is the serving surface the HTTP layer needs — the method set
-// shared by an unsharded core.System (wrapped with its graph for the
-// stats accessors) and a sharded shard.Router. Every handler goes
-// through this interface, so the endpoints behave identically over one
-// core or S hash-partitioned ones.
-type backend interface {
-	Enabled() []string
-	NumVertices() int
-	NumEdges() int64
-	Version() uint64
-	Directed() bool
-	QueryCtx(ctx context.Context, problem string, u graph.VertexID) (*core.QueryResult, error)
-	QueryFullCtx(ctx context.Context, problem string, u graph.VertexID) (*core.QueryResult, error)
-	QueryAtCtx(ctx context.Context, version uint64, problem string, u graph.VertexID) (*core.QueryResult, error)
-	QueryManyCtx(ctx context.Context, problem string, sources []graph.VertexID) (*core.MultiResult, error)
-	ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	ViewCachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool, fn func(*core.QueryResult, uint64)) bool
-	ViewCachedQueryAt(problem string, u graph.VertexID, version uint64, fn func(*core.QueryResult)) bool
-	SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*core.Subscription, error)
-	Unsubscribe(sub *core.Subscription)
-	Subscribers() int
-	ResultCacheMetrics() core.CacheMetrics
-	SetMirrorMetrics(m *streamgraph.MirrorMetrics)
-}
-
-// coreBackend adapts the unsharded pair (core.System, its graph) to the
-// backend interface; the graph supplies the topology accessors the
-// system doesn't carry.
-type coreBackend struct {
-	*core.System
-	g *streamgraph.Graph
-}
-
-func (b coreBackend) NumVertices() int { return b.g.Acquire().NumVertices() }
-func (b coreBackend) NumEdges() int64  { return b.g.Acquire().NumEdges() }
-func (b coreBackend) Version() uint64  { return b.g.Acquire().Version() }
-func (b coreBackend) Directed() bool   { return b.g.Directed() }
-
-func (b coreBackend) SetMirrorMetrics(m *streamgraph.MirrorMetrics) { b.g.SetMirrorMetrics(m) }
+// MaxBodyBytes caps the request body of every POST endpoint
+// (/v1/batch, /v1/delete, /v1/querymany). A 1024-edge batch at full
+// 32-bit IDs and weights is about 51 KiB of JSON, so the cap leaves two
+// orders of magnitude of headroom while keeping one request from making
+// the decoder buffer an unbounded body. Larger bodies are refused with
+// 413 and the error envelope (code too_large).
+const MaxBodyBytes = 4 << 20
 
 // Server is the HTTP front end over one Tripoline system.
 type Server struct {
-	sys    backend
-	shards int // 1 for an unsharded backend
+	sys *core.System
+	g   *streamgraph.Graph
 
 	// writeMu serializes graph mutations; queries need no lock (they
 	// operate on acquired snapshots and read-only standing arrays, which
@@ -184,21 +150,7 @@ func WithSubscriptionBuffer(n int) Option {
 // applied directly as long as they are not concurrent with ServeHTTP
 // writes (use the server's endpoints once serving).
 func New(sys *core.System, g *streamgraph.Graph, opts ...Option) *Server {
-	return newServer(coreBackend{System: sys, g: g}, 1, nil, opts)
-}
-
-// NewSharded serves a shard.Router: the same endpoints, answered by
-// scatter/gather over the router's hash-partitioned cores. The router's
-// per-shard counters (tripoline_shard_*) are registered into the server
-// registry, and one shared mirror-metrics instrument is fanned out to
-// every shard's graph so /v1/stats and /v1/metrics report mirror and
-// cache activity aggregated across all shards.
-func NewSharded(r *shard.Router, opts ...Option) *Server {
-	return newServer(r, r.Shards(), r.SetMetrics, opts)
-}
-
-func newServer(be backend, shards int, shardMetrics func(*shard.Metrics), opts []Option) *Server {
-	s := &Server{sys: be, shards: shards, mux: http.NewServeMux(), drainCh: make(chan struct{})}
+	s := &Server{sys: sys, g: g, mux: http.NewServeMux(), drainCh: make(chan struct{})}
 	for _, o := range opts {
 		o(s)
 	}
@@ -207,13 +159,8 @@ func newServer(be backend, shards int, shardMetrics func(*shard.Metrics), opts [
 	}
 	// Route the graph's mirror-maintenance instruments (delta vs. full
 	// builds, bytes copied vs. walked, slab recycler traffic) into the
-	// server registry so they surface in /v1/stats and /v1/metrics. A
-	// sharded backend fans the same instrument out to every shard's
-	// graph, so the counters aggregate across shards by construction.
-	s.sys.SetMirrorMetrics(streamgraph.RegisterMirrorMetrics(s.met.reg))
-	if shardMetrics != nil {
-		shardMetrics(shard.RegisterMetrics(s.met.reg))
-	}
+	// server registry so they surface in /v1/stats and /v1/metrics.
+	s.g.SetMirrorMetrics(streamgraph.RegisterMirrorMetrics(s.met.reg))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/query", s.cached(s.tryCachedQuery, s.handleQuery))
@@ -401,15 +348,10 @@ type batchResponse struct {
 }
 
 type statsResponse struct {
-	Vertices int    `json:"vertices"`
-	Edges    int64  `json:"edges"`
-	Version  uint64 `json:"version"`
-	Directed bool   `json:"directed"`
-	// Shards is the number of partitioned cores serving this system (1
-	// when unsharded); with shards > 1 the metrics map carries the
-	// tripoline_shard_* counters and the mirror/cache figures aggregate
-	// over all shards.
-	Shards   int            `json:"shards"`
+	Vertices int            `json:"vertices"`
+	Edges    int64          `json:"edges"`
+	Version  uint64         `json:"version"`
+	Directed bool           `json:"directed"`
 	Problems []string       `json:"problems"`
 	Metrics  map[string]any `json:"metrics"`
 	// Cache summarizes the Δ-result cache (all zero when disabled);
@@ -446,6 +388,8 @@ func errCodeFor(status int) string {
 		return "draining"
 	case http.StatusTooManyRequests:
 		return "overloaded"
+	case http.StatusRequestEntityTooLarge:
+		return "too_large"
 	default:
 		return "internal"
 	}
@@ -468,12 +412,12 @@ func writeJSON(w http.ResponseWriter, v any) int {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	snap := s.g.Acquire()
 	writeJSON(w, statsResponse{
-		Vertices:    s.sys.NumVertices(),
-		Edges:       s.sys.NumEdges(),
-		Version:     s.sys.Version(),
-		Directed:    s.sys.Directed(),
-		Shards:      s.shards,
+		Vertices:    snap.NumVertices(),
+		Edges:       snap.NumEdges(),
+		Version:     snap.Version(),
+		Directed:    s.g.Directed(),
 		Problems:    s.sys.Enabled(),
 		Metrics:     s.met.reg.Snapshot(),
 		Cache:       s.sys.ResultCacheMetrics(),
@@ -620,8 +564,8 @@ type queryManyRequest struct {
 
 func (s *Server) handleQueryMany(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
 	var req queryManyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if code, ok := decodeBody(w, r, &req); !ok {
+		return code
 	}
 	sources := make([]graph.VertexID, len(req.Sources))
 	for i, u := range req.Sources {
@@ -640,15 +584,28 @@ func (s *Server) handleQueryMany(ctx context.Context, w http.ResponseWriter, r *
 	return writeBody(w, func(b []byte) []byte { return appendQueryManyResponse(b, res, req.Sources) })
 }
 
-func (s *Server) decodeEdges(w http.ResponseWriter, r *http.Request) ([]graph.Edge, bool) {
+// decodeBody decodes a POST body of at most MaxBodyBytes into v. On
+// failure it writes the error envelope — 413 too_large past the cap, 400
+// for malformed JSON — and returns the status with ok=false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, bool) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return http.StatusOK, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit), false
+	}
+	return writeErr(w, http.StatusBadRequest, "bad JSON: %v", err), false
+}
+
+func (s *Server) decodeEdges(w http.ResponseWriter, r *http.Request) ([]graph.Edge, int, bool) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return nil, false
+	if code, ok := decodeBody(w, r, &req); !ok {
+		return nil, code, false
 	}
 	if len(req.Edges) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty batch")
-		return nil, false
+		return nil, writeErr(w, http.StatusBadRequest, "empty batch"), false
 	}
 	edges := make([]graph.Edge, len(req.Edges))
 	for i, e := range req.Edges {
@@ -657,13 +614,13 @@ func (s *Server) decodeEdges(w http.ResponseWriter, r *http.Request) ([]graph.Ed
 		}
 		edges[i] = graph.Edge{Src: e.Src, Dst: e.Dst, W: e.W}
 	}
-	return edges, true
+	return edges, http.StatusOK, true
 }
 
 func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
-	edges, ok := s.decodeEdges(w, r)
+	edges, code, ok := s.decodeEdges(w, r)
 	if !ok {
-		return http.StatusBadRequest
+		return code
 	}
 	s.writeMu.Lock()
 	rep, err := s.sys.ApplyBatchCtx(ctx, edges)
@@ -686,9 +643,9 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 }
 
 func (s *Server) handleDelete(ctx context.Context, w http.ResponseWriter, r *http.Request) int {
-	edges, ok := s.decodeEdges(w, r)
+	edges, code, ok := s.decodeEdges(w, r)
 	if !ok {
-		return http.StatusBadRequest
+		return code
 	}
 	s.writeMu.Lock()
 	rep, err := s.sys.ApplyDeletionsCtx(ctx, edges)

@@ -43,7 +43,7 @@ func TestDeltaIntoMatchesColumnInit(t *testing.T) {
 				}
 				st := engine.NewState(p, n, 5)
 				arr, stride, off := st.StrideView(3)
-				m.DeltaInto(arr, stride, off, n, u, false)
+				m.DeltaInto(arr, stride, off, n, u)
 				for x := range want {
 					if got[x] != want[x] || st.Value(graph.VertexID(x), 3) != want[x] {
 						t.Fatalf("K=%d %s u=%d x=%d: DeltaFor %d, strided %d, column init %d",

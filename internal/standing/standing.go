@@ -199,16 +199,14 @@ func (m *Manager) noteVersion(g engine.View) {
 // Forward.StrideView and writes Δ(u, r*) for the first n vertices
 // (clamped to the standing state's size) through the strided
 // destination dst[x*stride+off] — one parallel O(N) pass on every
-// layout, with no column copied out of the standing state. With merge
-// the bound is folded into dst's current values instead (see
-// triangle.DeltaInitStrided). It returns the chosen slot and
-// property(u, r*). The caller holds the standing state still (the
+// layout, with no column copied out of the standing state. It returns
+// the chosen slot and property(u, r*). The caller holds the standing state still (the
 // system's shared lock) for the duration.
-func (m *Manager) DeltaInto(dst []uint64, stride, off, n int, u graph.VertexID, merge bool) (slot int, propUR uint64) {
+func (m *Manager) DeltaInto(dst []uint64, stride, off, n int, u graph.VertexID) (slot int, propUR uint64) {
 	slot, propUR = m.Select(u)
 	src, srcStride, srcOff := m.Forward.StrideView(slot)
 	triangle.DeltaInitStrided(dst, stride, off, src, srcStride, srcOff, min(n, m.Forward.N),
-		m.Problem, u, propUR, merge)
+		m.Problem, u, propUR)
 	return slot, propUR
 }
 
@@ -218,6 +216,6 @@ func (m *Manager) DeltaInto(dst []uint64, stride, off, n int, u graph.VertexID, 
 // property(u, r*).
 func (m *Manager) DeltaFor(u graph.VertexID) (init []uint64, slot int, propUR uint64) {
 	init = make([]uint64, m.Forward.N)
-	slot, propUR = m.DeltaInto(init, 1, 0, len(init), u, false)
+	slot, propUR = m.DeltaInto(init, 1, 0, len(init), u)
 	return init, slot, propUR
 }

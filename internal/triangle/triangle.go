@@ -29,7 +29,7 @@ import (
 // K=1 engine.State.
 func DeltaInit(p engine.Problem, u graph.VertexID, propUR uint64, standing []uint64) []uint64 {
 	init := make([]uint64, len(standing))
-	DeltaInitStrided(init, 1, 0, standing, 1, 0, len(standing), p, u, propUR, false)
+	DeltaInitStrided(init, 1, 0, standing, 1, 0, len(standing), p, u, propUR)
 	return init
 }
 
@@ -39,26 +39,20 @@ func DeltaInit(p engine.Problem, u graph.VertexID, propUR uint64, standing []uin
 // src[x*srcStride+srcOff] and its destination is dst[x*dstStride+dstOff]
 // — so the standing state is read in place and the destination may be
 // one slot of a width-K state: no column is materialized on either side.
-// The pass covers vertices [0, n) in parallel.
-//
-// Without merge it writes Combine(propUR, standing(x)) and then resets u
-// to the problem's source value: a fresh Δ(u,r). With merge it keeps the
-// better of the current destination value and the Δ bound and leaves u
-// alone, folding one more standing bound into an existing init.
+// The pass covers vertices [0, n) in parallel: it writes
+// Combine(propUR, standing(x)) and then resets u to the problem's source
+// value, giving Δ(u,r).
 func DeltaInitStrided(dst []uint64, dstStride, dstOff int, src []uint64, srcStride, srcOff, n int,
-	p engine.Problem, u graph.VertexID, propUR uint64, merge bool) {
+	p engine.Problem, u graph.VertexID, propUR uint64) {
 	parallel.ForRange(n, 4096, func(lo, hi int) {
 		d, s := dstOff+lo*dstStride, srcOff+lo*srcStride
 		for x := lo; x < hi; x++ {
-			cand := p.Combine(propUR, src[s])
-			if !merge || p.Better(cand, dst[d]) {
-				dst[d] = cand
-			}
+			dst[d] = p.Combine(propUR, src[s])
 			d += dstStride
 			s += srcStride
 		}
 	})
-	if !merge && int(u) < n {
+	if int(u) < n {
 		dst[int(u)*dstStride+dstOff] = p.SourceValue()
 	}
 }

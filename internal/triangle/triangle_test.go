@@ -105,7 +105,7 @@ func TestDeltaInitStridedMatchesColumn(t *testing.T) {
 		src[x*3+2] = v
 	}
 	dst := make([]uint64, 2*len(standing))
-	triangle.DeltaInitStrided(dst, 2, 1, src, 3, 2, len(standing), p, 1, 5, false)
+	triangle.DeltaInitStrided(dst, 2, 1, src, 3, 2, len(standing), p, 1, 5)
 	for x := range want {
 		if dst[x*2+1] != want[x] {
 			t.Fatalf("strided[%d]=%d, column=%d", x, dst[x*2+1], want[x])
@@ -115,15 +115,6 @@ func TestDeltaInitStridedMatchesColumn(t *testing.T) {
 		}
 	}
 
-	// Merge keeps the wider of the current value and the bound, and does
-	// not reset the source to SourceValue.
-	cur := []uint64{7, 0, 2}
-	triangle.DeltaInitStrided(cur, 1, 0, standing, 1, 0, len(standing), p, 1, 5, true)
-	for x, wantX := range []uint64{7, 4, 5} {
-		if cur[x] != wantX {
-			t.Fatalf("merge[%d]=%d, want %d", x, cur[x], wantX)
-		}
-	}
 }
 
 func TestHolds(t *testing.T) {

@@ -42,13 +42,11 @@ package tripoline
 import (
 	"context"
 	"io"
-	"time"
 
 	"tripoline/internal/core"
 	"tripoline/internal/engine"
 	"tripoline/internal/graph"
 	"tripoline/internal/props"
-	"tripoline/internal/shard"
 	"tripoline/internal/streamgraph"
 )
 
@@ -164,7 +162,6 @@ type config struct {
 	record       bool
 	cacheEntries int
 	cacheOn      bool
-	shards       int
 }
 
 // WithStandingQueries sets K, the number of standing queries maintained
@@ -196,79 +193,20 @@ func WithResultCache(entries int) Option {
 	return func(c *config) { c.cacheEntries = entries; c.cacheOn = true }
 }
 
-// WithShards partitions the system into s independent shard cores, each
-// with its own standing queries, mirror chain and writer, coordinated by
-// a versioned cross-shard snapshot barrier (internal/shard). Queries
-// scatter to every shard in parallel and gather into exactly the answer
-// an unsharded system produces; the standing-query budget K is split
-// across shards so total maintenance work stays comparable. s <= 1 is
-// the plain unsharded system. With s > 1, Subscribe is unsupported
-// (ErrSubscribeUnsupported) and the Graph passed to NewSystem is only
-// the construction-time source of edges — stream further updates through
-// System.ApplyBatch, not Graph.InsertEdges.
-func WithShards(s int) Option {
-	return func(c *config) { c.shards = s }
-}
-
-// backend is the method set shared by the unsharded core.System and the
-// sharded shard.Router; the facade delegates to whichever the options
-// selected.
-type backend interface {
-	Enable(name string) error
-	EnableCustom(p engine.Problem) error
-	Enabled() []string
-	ApplyBatch(batch []graph.Edge) core.BatchReport
-	ApplyBatchCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	ApplyDeletions(batch []graph.Edge) core.BatchReport
-	ApplyDeletionsCtx(ctx context.Context, batch []graph.Edge) (core.BatchReport, error)
-	Query(name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryCtx(ctx context.Context, name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryFull(name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryFullCtx(ctx context.Context, name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryMany(name string, sources []graph.VertexID) (*core.MultiResult, error)
-	QueryManyCtx(ctx context.Context, name string, sources []graph.VertexID) (*core.MultiResult, error)
-	QueryAt(version uint64, name string, u graph.VertexID) (*core.QueryResult, error)
-	QueryAtCtx(ctx context.Context, version uint64, name string, u graph.VertexID) (*core.QueryResult, error)
-	EnableHistory(capacity int)
-	HistoryVersions() []uint64
-	RecordQueries(on bool)
-	ReselectRoots(problem string) error
-	EnableResultCache(entries int)
-	CachedQuery(problem string, u graph.VertexID, minVersion uint64, staleOK bool) (*core.QueryResult, uint64, bool)
-	ResultCacheMetrics() core.CacheMetrics
-	Subscribe(problem string, u graph.VertexID, buffer int) (*core.Subscription, error)
-	SubscribeCtx(ctx context.Context, problem string, u graph.VertexID, buffer int) (*core.Subscription, error)
-	Unsubscribe(sub *core.Subscription)
-	Subscribers() int
-	StandingMaintainTime(name string) (time.Duration, error)
-}
-
 // System couples a streaming graph with standing-query maintenance and
 // Δ-based user query evaluation.
 type System struct {
-	inner  backend
-	g      *Graph
-	shards int
+	inner *core.System
+	g     *Graph
 }
 
-// NewSystem wraps a streaming graph. With WithShards(s), s > 1, the
-// graph's current edges are hash-partitioned across s shard cores and
-// the returned System serves queries by scatter/gather over them; the
-// Graph itself is then detached (stream updates via System.ApplyBatch).
+// NewSystem wraps a streaming graph.
 func NewSystem(g *Graph, opts ...Option) *System {
 	var c config
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.shards < 1 {
-		c.shards = 1
-	}
-	s := &System{g: g, shards: c.shards}
-	if c.shards == 1 {
-		s.inner = core.NewSystem(g.inner, c.k)
-	} else {
-		s.inner = newShardedBackend(g.inner, c.shards, c.k)
-	}
+	s := &System{inner: core.NewSystem(g.inner, c.k), g: g}
 	if c.history > 0 {
 		s.inner.EnableHistory(c.history)
 	}
@@ -281,40 +219,8 @@ func NewSystem(g *Graph, opts ...Option) *System {
 	return s
 }
 
-// newShardedBackend builds a shard.Router over the graph's current
-// snapshot: every existing edge is collected and bulk-loaded as one
-// batch (the router numbers versions from scratch — version 1 after a
-// non-empty load, 0 for an empty graph).
-func newShardedBackend(g *streamgraph.Graph, shards, k int) *shard.Router {
-	snap := g.Acquire()
-	r := shard.New(snap.NumVertices(), g.Directed(), shards, k)
-	var edges []graph.Edge
-	for v := 0; v < snap.NumVertices(); v++ {
-		u := graph.VertexID(v)
-		snap.ForEachOut(u, func(dst graph.VertexID, w graph.Weight) {
-			// Undirected snapshots store both arcs of each logical edge
-			// (a self-loop once); emit each edge exactly once so the
-			// router's own mirroring reconstructs the same arc set.
-			if !g.Directed() && dst < u {
-				return
-			}
-			edges = append(edges, graph.Edge{Src: u, Dst: dst, W: w})
-		})
-	}
-	if len(edges) > 0 {
-		r.ApplyBatch(edges)
-	}
-	return r
-}
-
-// Graph returns the underlying streaming graph. On a sharded system
-// (WithShards > 1) this is the construction-time graph only — the shards
-// hold their own partitions, so mutate through System.ApplyBatch and
-// ApplyDeletions, never Graph.InsertEdges.
+// Graph returns the underlying streaming graph.
 func (s *System) Graph() *Graph { return s.g }
-
-// Shards reports the number of shard cores (1 for an unsharded system).
-func (s *System) Shards() int { return s.shards }
 
 // Enable sets up and fully evaluates standing queries for a problem.
 // Recognized names: BFS, SSSP, SSWP, SSNP, Viterbi, SSR, Radii, SSNSP,
@@ -401,12 +307,6 @@ func (s *System) QueryManyCtx(ctx context.Context, problem string, sources []Ver
 	return s.inner.QueryManyCtx(ctx, problem, sources)
 }
 
-// EnableHistory retains up to capacity past snapshots for QueryAt.
-//
-// Deprecated: pass WithHistory(capacity) to NewSystem instead; the
-// option form configures the system before any serving starts.
-func (s *System) EnableHistory(capacity int) { s.inner.EnableHistory(capacity) }
-
 // HistoryVersions lists the retained snapshot versions.
 func (s *System) HistoryVersions() []uint64 { return s.inner.HistoryVersions() }
 
@@ -422,13 +322,6 @@ func (s *System) QueryAt(version uint64, problem string, source VertexID) (*Quer
 func (s *System) QueryAtCtx(ctx context.Context, version uint64, problem string, source VertexID) (*QueryResult, error) {
 	return s.inner.QueryAtCtx(ctx, version, problem, source)
 }
-
-// RecordQueries toggles recording of user-query sources into a workload
-// histogram consumed by ReselectRoots.
-//
-// Deprecated: pass WithQueryRecording() to NewSystem instead; the option
-// form configures the system before any serving starts.
-func (s *System) RecordQueries(on bool) { s.inner.RecordQueries(on) }
 
 // ReselectRoots re-roots a problem's standing queries using the recorded
 // query distribution blended with topology — the paper's §5 refinement
